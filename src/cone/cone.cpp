@@ -1,9 +1,5 @@
 #include "cone/cone.hpp"
 
-#include <map>
-#include <tuple>
-#include <unordered_map>
-
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -14,102 +10,17 @@ std::string to_string(const Cone_spec& spec) {
                spec.depth, ")");
 }
 
-namespace {
-
-// Builds the value of every requested (field, level, position) through
-// memoized substitution.
-class Cone_builder {
-public:
-    Cone_builder(Stencil_step& step) : step_(step) {}
-
-    // Value of state field `s` (state position) at unrolling level `level`
-    // (level 0 = cone input), at position (x, y) relative to the window origin.
-    Expr_id value(int s, int level, int x, int y) {
-        if (level == 0) {
-            const int field = step_.pool().find_field(step_.state_fields()[s]);
-            return step_.pool().input(field, x, y);
-        }
-        const Key key{s, level, x, y};
-        if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
-
-        const Expr_id root = step_.update(s);
-        const Expr_id result = transform_inputs(
-            step_.pool(), root, [&](const Expr_node& leaf) -> Expr_id {
-                const int state_pos = step_.state_position(leaf.field);
-                if (state_pos >= 0) {
-                    return value(state_pos, level - 1, x + leaf.dx, y + leaf.dy);
-                }
-                // Constant (iteration-invariant) field: always read from the
-                // cone input window, whatever the level.
-                return step_.pool().input(leaf.field, x + leaf.dx, y + leaf.dy);
-            });
-        memo_.emplace(key, result);
-        return result;
-    }
-
-private:
-    using Key = std::tuple<int, int, int, int>;
-    struct Key_hash {
-        std::size_t operator()(const Key& k) const {
-            const auto [a, b, c, d] = k;
-            std::size_t h = static_cast<std::size_t>(a) * 1000003u;
-            h ^= static_cast<std::size_t>(b) * 10007u;
-            h ^= static_cast<std::size_t>(c + 4096) * 131u;
-            h ^= static_cast<std::size_t>(d + 4096);
-            return h;
-        }
-    };
-
-    Stencil_step& step_;
-    std::unordered_map<Key, Expr_id, Key_hash> memo_;
-};
-
-// Tree-expanded operation count: what symbolic execution without register
-// reuse would have materialized. Computed per DAG node by dynamic
-// programming, then summed over the roots (no sharing between roots either).
-double naive_ops(const Expr_pool& pool, const std::vector<Expr_id>& roots) {
-    std::unordered_map<Expr_id, double> memo;
-    double total = 0.0;
-    for (Expr_id root : roots) {
-        // Depth-first with explicit stack; per-node cost = 1 + sum(children).
-        std::vector<std::pair<Expr_id, bool>> stack{{root, false}};
-        while (!stack.empty()) {
-            auto [id, expanded] = stack.back();
-            stack.pop_back();
-            if (memo.count(id) != 0) continue;
-            const Expr_node& n = pool.node(id);
-            if (!expanded) {
-                stack.push_back({id, true});
-                for (int i = 0; i < n.arg_count(); ++i) {
-                    stack.push_back({n.args[static_cast<std::size_t>(i)], false});
-                }
-            } else {
-                double cost = is_operation(n.kind) ? 1.0 : 0.0;
-                for (int i = 0; i < n.arg_count(); ++i) {
-                    cost += memo.at(n.args[static_cast<std::size_t>(i)]);
-                }
-                memo.emplace(id, cost);
-            }
-        }
-        total += memo.at(root);
-    }
-    return total;
-}
-
-}  // namespace
-
 Cone::Cone(Stencil_step& step, const Cone_spec& spec) : step_(&step), spec_(spec) {
     check_internal(spec.window_width >= 1 && spec.window_height >= 1 && spec.depth >= 1,
                    cat("invalid ", to_string(spec)));
 
-    Cone_builder builder(step);
     const int fields = step.state_field_count();
     outputs_.reserve(static_cast<std::size_t>(fields) * spec.window_width *
                      spec.window_height);
     for (int s = 0; s < fields; ++s) {
         for (int y = 0; y < spec.window_height; ++y) {
             for (int x = 0; x < spec.window_width; ++x) {
-                outputs_.push_back(builder.value(s, spec.depth, x, y));
+                outputs_.push_back(step.unrolled(s, spec.depth, x, y));
             }
         }
     }
@@ -121,11 +32,12 @@ Cone::Cone(Stencil_step& step, const Cone_spec& spec) : step_(&step), spec_(spec
     stats_.input_count = program_.input_count();
     stats_.output_count = static_cast<int>(outputs_.size());
     stats_.pipeline_depth = program_.depth();
-    stats_.census = count_ops(step.pool(), outputs_);
+    Program_census census = census_of(program_);
+    stats_.census = std::move(census.ops);
     stats_.input_window = input_window_for(
         Window{0, 0, spec.window_width, spec.window_height}, step.footprint(),
         spec.depth);
-    stats_.naive_operation_count = naive_ops(step.pool(), outputs_);
+    stats_.naive_operation_count = census.naive_operation_count;
 }
 
 int Cone::output_index(int state_field, int x, int y) const {

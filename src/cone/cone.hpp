@@ -7,7 +7,8 @@
 // memoized substitution into the shared expression pool: a value needed by
 // several consumers (Fig. 4's shared diagonal reads) is created once and
 // referenced many times, which is exactly the register-reuse scheme the
-// paper uses to keep the generated VHDL slim.
+// paper uses to keep the generated VHDL slim. The memo is the step's
+// (Stencil_step::unrolled), so later cones reuse what earlier ones unrolled.
 #pragma once
 
 #include <string>
@@ -52,8 +53,8 @@ struct Cone_stats {
     }
 };
 
-// A built cone. Shares (and extends) the Stencil_step's expression pool; the
-// step must outlive the cone.
+// A built cone. Shares (and extends) the Stencil_step's expression pool and
+// unroll memo; the step must outlive the cone.
 class Cone {
 public:
     // Builds the cone for `spec` over the given stencil. Throws on

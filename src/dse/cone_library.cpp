@@ -75,16 +75,23 @@ const Synthesis_report& Cone_library::synthesis(int window, int depth,
     // keys can synthesize concurrently. Racing threads may synthesize the
     // same key twice; the synthesizer is deterministic, the first insert
     // wins, and the meter counts cache entries, so nothing diverges.
+    //
+    // The fresh report enters the memo map *before* it reaches the store.
+    // A racing worker can only load it from the store after that, so its
+    // insert loses and the report is never flagged as a load.
     const Cone& built_cone = cone(window, depth);
-    const Synthesis_report report =
-        synthesize_cone(built_cone, kernel_name_, device, options);
+    Synthesis_report report = synthesize_cone(built_cone, kernel_name_, device, options);
+    const Synthesis_report* result = nullptr;
+    {
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        result = &syntheses_.emplace(key, std::move(report)).first->second;
+    }
     if (store_.store) {
         const std::string persist_key =
             cat(store_key_prefix_, window, "/", depth, "/", std::get<2>(key), "\n");
-        store_.store(persist_key, report);
+        store_.store(persist_key, *result);
     }
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    return syntheses_.emplace(key, report).first->second;
+    return *result;
 }
 
 int Cone_library::synthesis_runs() const {

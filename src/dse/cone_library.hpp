@@ -1,17 +1,22 @@
 // Cache of built cones and their (virtual) synthesis results for one kernel.
 //
-// Building a cone is cheap; synthesizing one is not (the virtual synthesizer
-// models tool runtimes of minutes to hours). The library keeps both memoized
-// and tracks the cumulative simulated synthesis CPU time, so the flow can
-// report how much the estimation-based exploration saves over synthesizing
-// every design point.
+// Building a cone unrolls only the values no earlier cone of the kernel has
+// unrolled (the step memoizes them for the pool's lifetime, so a whole
+// 1..W x 1..D grid unrolls no more than its largest cone) and then lowers its
+// program in passes linear in its size. Synthesizing a cone is what costs:
+// the virtual synthesizer models tool runtimes of minutes to hours. The
+// library keeps both memoized and tracks the cumulative simulated synthesis
+// CPU time, so the flow can report how much the estimation-based exploration
+// saves over synthesizing every design point.
 //
 // The library is safe for concurrent callers: lookups take a shared lock;
 // cone cache misses build under the exclusive lock (building extends the
-// kernel's shared expression pool, so it must serialize), while synthesis
-// misses run the virtual synthesizer outside any lock (it only reads the
-// cone's immutable register program) and insert first-wins — racing threads
-// may duplicate a deterministic synthesis but never diverge. Returned
+// kernel's shared expression pool and unroll memo, so it must serialize),
+// while synthesis misses run the virtual synthesizer outside any lock (it
+// only reads the cone's immutable register program) and insert first-wins —
+// racing threads may duplicate a deterministic synthesis but never diverge.
+// A fresh report is inserted before it is written to the persistent store,
+// so no racing thread can load it back and count it as a load. Returned
 // references stay valid for the library's lifetime (node-based storage).
 // The synthesis meter is derived from the memoization map in key order, so
 // its value is independent of the schedule that filled the cache.

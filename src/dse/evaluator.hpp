@@ -60,8 +60,10 @@ public:
     // One-time calibration: fits the area models for depths 1..max_depth
     // (the alpha syntheses of Eq. 1) and pre-builds every cone of the
     // (1..max_window, 1..max_depth) grid. Cone construction extends the
-    // kernel's shared expression pool, so it must not race the unlocked pool
-    // reads inside evaluate(); after calibrate(W, D), evaluating any
+    // kernel's shared expression pool and unroll memo, so it must not race
+    // the unlocked pool reads inside evaluate(). With the memo the grid
+    // unrolls no more than its largest cone does; each further cone only
+    // lowers its program. After calibrate(W, D), evaluating any
     // instance with window <= W and depths <= D is pure — no model fitting,
     // no pool mutation — and safe from many threads at once.
     void calibrate(int max_window, int max_depth);

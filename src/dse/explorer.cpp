@@ -193,9 +193,10 @@ islhls::Format_grid Explorer::search_formats(const Frame_set& content,
     // sample-window pool stays disabled (its parallelism would nest).
     options.threads = 1;
     // Pre-build the cone grid serially: cone construction extends the
-    // kernel's shared expression pool and must not race the parallel cells
-    // (the same discipline as Arch_evaluator::calibrate, without paying for
-    // syntheses this search never reads).
+    // kernel's shared expression pool and unroll memo and must not race the
+    // parallel cells (the same discipline as Arch_evaluator::calibrate,
+    // without paying for syntheses this search never reads). The memo keeps
+    // this cheap: the grid unrolls no more than its largest cone does.
     Cone_library& library = evaluator_.library();
     for (int d = 1; d <= space_.max_depth; ++d) {
         for (int w = 1; w <= space_.max_window; ++w) library.cone(w, d);

@@ -1,7 +1,8 @@
-// Static analyses over expression DAGs: reachability, operation census,
-// critical-path depth and input support. These feed the cone statistics the
-// estimators consume (register counts drive the Eq. 1 area model; op kinds
-// and depth drive the timing model).
+// Static analyses over expression DAGs and their lowered register programs:
+// reachability, operation census, tree-expanded operation count and input
+// support. These feed the cone statistics the estimators consume (register
+// counts drive the Eq. 1 area model; op kinds and depth drive the timing
+// model).
 #pragma once
 
 #include <map>
@@ -9,6 +10,7 @@
 
 #include "grid/tile.hpp"
 #include "ir/expr.hpp"
+#include "ir/program.hpp"
 
 namespace islhls {
 
@@ -28,12 +30,17 @@ struct Op_census {
 std::vector<Expr_id> reachable_nodes(const Expr_pool& pool,
                                      const std::vector<Expr_id>& roots);
 
-Op_census count_ops(const Expr_pool& pool, const std::vector<Expr_id>& roots);
-
-// Longest operand chain through operation nodes (leaves depth 0; an op node
-// is 1 + max over operands). Equals the number of pipeline levels the
-// backend emits for this DAG.
-int dag_depth(const Expr_pool& pool, const std::vector<Expr_id>& roots);
+// What a lowered program holds, taken in one pass over its instructions
+// (exactly one per DAG node reachable from the roots, operands in argument
+// order).
+struct Program_census {
+    Op_census ops;
+    // Tree-expanded operation count: what symbolic execution without
+    // register reuse would have materialized (per node 1 + its operands'
+    // counts, summed over the outputs with no sharing between them either).
+    double naive_operation_count = 0.0;
+};
+Program_census census_of(const Register_program& program);
 
 // A reference to one distinct input element used by an expression.
 struct Input_ref {

@@ -12,8 +12,12 @@ namespace islhls {
 Register_program build_program(const Expr_pool& pool, const std::vector<Expr_id>& roots) {
     Register_program prog;
     const std::vector<Expr_id> order = reachable_nodes(pool, roots);
-    std::unordered_map<Expr_id, std::int32_t> reg_of;
-    reg_of.reserve(order.size());
+    // Register of each reached node, indexed by Expr_id. Reused across
+    // calls without clearing: every entry read below was written earlier in
+    // this call, because operands precede their users in `order`.
+    thread_local std::vector<std::int32_t> reg_of;
+    if (reg_of.size() < pool.size()) reg_of.resize(pool.size(), -1);
+    prog.instrs_.reserve(order.size());
 
     for (Expr_id id : order) {
         const Expr_node& n = pool.node(id);
@@ -22,7 +26,7 @@ Register_program build_program(const Expr_pool& pool, const std::vector<Expr_id>
         instr.operand_count = n.arg_count();
         int level = 0;
         for (int i = 0; i < n.arg_count(); ++i) {
-            const std::int32_t src = reg_of.at(n.args[static_cast<std::size_t>(i)]);
+            const std::int32_t src = reg_of[n.args[static_cast<std::size_t>(i)]];
             instr.operands[static_cast<std::size_t>(i)] = src;
             level = std::max(level, prog.instrs_[static_cast<std::size_t>(src)].level);
         }
@@ -46,10 +50,10 @@ Register_program build_program(const Expr_pool& pool, const std::vector<Expr_id>
         if (is_operation(n.kind)) {
             prog.depth_ = std::max(prog.depth_, instr.level);
         }
-        reg_of.emplace(id, static_cast<std::int32_t>(prog.instrs_.size()));
+        reg_of[id] = static_cast<std::int32_t>(prog.instrs_.size());
         prog.instrs_.push_back(instr);
     }
-    for (Expr_id r : roots) prog.output_regs_.push_back(reg_of.at(r));
+    for (Expr_id r : roots) prog.output_regs_.push_back(reg_of[r]);
     // Compile eagerly: the lowering is one linear pass over the finished
     // instruction vector, and doing it here keeps the program immutable
     // afterwards — compiled() needs no synchronization and copies share the

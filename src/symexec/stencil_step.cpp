@@ -27,6 +27,7 @@ void Stencil_step::set_update(const std::string& state_field, Expr_id expr) {
     check_internal(it != state_fields_.end(),
                    cat("set_update on unknown state field '", state_field, "'"));
     updates_[static_cast<std::size_t>(it - state_fields_.begin())] = expr;
+    unrolled_.clear();  // memoized values unrolled the old update
 }
 
 Expr_id Stencil_step::update(int state_index) const {
@@ -62,6 +63,37 @@ Footprint Stencil_step::footprint() const {
 int Stencil_step::max_reach() const {
     const Footprint fp = footprint();
     return std::max({fp.left, fp.right, fp.up, fp.down});
+}
+
+Expr_id Stencil_step::unrolled(int s, int level, int x, int y) {
+    if (level == 0) {
+        const int field = pool_.find_field(state_fields_[static_cast<std::size_t>(s)]);
+        return pool_.input(field, x, y);
+    }
+    // Key: 8 bits of state, 16 of level, 20 per coordinate (offset binary).
+    constexpr int bias = 1 << 19;
+    if (s < 0 || s >= 256 || level < 0 || level >= (1 << 16) || x < -bias ||
+        x >= bias || y < -bias || y >= bias) {
+        throw Internal_error("unrolled(): state, level or position out of range");
+    }
+    const std::uint64_t key = static_cast<std::uint64_t>(s) << 56 |
+                              static_cast<std::uint64_t>(level) << 40 |
+                              static_cast<std::uint64_t>(x + bias) << 20 |
+                              static_cast<std::uint64_t>(y + bias);
+    if (const auto it = unrolled_.find(key); it != unrolled_.end()) return it->second;
+
+    const Expr_id result =
+        transform_inputs(pool_, update(s), [&](const Expr_node& leaf) -> Expr_id {
+            const int state_pos = state_position(leaf.field);
+            if (state_pos >= 0) {
+                return unrolled(state_pos, level - 1, x + leaf.dx, y + leaf.dy);
+            }
+            // Constant (iteration-invariant) field: always read from the
+            // level-0 input, whatever the level.
+            return pool_.input(leaf.field, x + leaf.dx, y + leaf.dy);
+        });
+    unrolled_.emplace(key, result);
+    return result;
 }
 
 std::string Stencil_step::describe() const {

@@ -5,10 +5,13 @@
 // fields (translational invariance means one expression describes every
 // element — the key reduction of Sec. 3.2 of the paper). The contained
 // Expr_pool also serves as the arena the cone builder extends when unrolling
-// multiple iterations.
+// multiple iterations, and the step memoizes every unrolled value for the
+// pool's lifetime, so cones of any geometry share one unrolling.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "grid/tile.hpp"
@@ -64,8 +67,20 @@ public:
     // One-line human-readable summary per state field.
     std::string describe() const;
 
+    // --- unrolling (used by the cone builder) --------------------------------------
+    // Value of state field `s` (state position) after `level` applications of
+    // the step, at (x, y) relative to the origin, written over level-0 reads
+    // of the fields (const fields are always read at level 0). Memoized for
+    // the pool's lifetime: a value unrolled for one cone is reused by every
+    // later cone. Exact in any build order, because recomputing a value
+    // would replay the same constructor calls on the same child ids and
+    // intern nothing new.
+    Expr_id unrolled(int s, int level, int x, int y);
+
 private:
     Expr_pool pool_;
+    // (state, level, x, y) -> value, for every unrolled value in pool_.
+    std::unordered_map<std::uint64_t, Expr_id> unrolled_;
     std::vector<std::string> state_fields_;
     std::vector<std::string> const_fields_;
     std::vector<Expr_id> updates_;  // parallel to state_fields_

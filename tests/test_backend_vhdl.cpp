@@ -47,7 +47,7 @@ TEST_F(Vhdl_fixture, div_and_sqrt_instances_match_census) {
     const Cone cone(chamb, Cone_spec{2, 2, 1});
     const std::string vhdl = emit_cone(cone, "chambolle");
     const Vhdl_structure s = analyze_vhdl(vhdl);
-    const Op_census census = count_ops(chamb.pool(), cone.outputs());
+    const Op_census& census = cone.stats().census;
     EXPECT_EQ(s.divider_instances, census.count(Op_kind::div));
     EXPECT_EQ(s.sqrt_instances, census.count(Op_kind::sqrt_op));
     EXPECT_GT(s.divider_instances, 0);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -145,7 +146,7 @@ TEST(Backends, cross_backend_front_contains_each_backends_own_front) {
 
     // ...and each member survives the front of its own backend alone
     // (front(A + B) can only thin a backend's own front, never add to it).
-    for (const std::string& backend : {"paper", "streaming"}) {
+    for (const std::string_view backend : {"paper", "streaming"}) {
         std::vector<Design_point> own;
         for (std::size_t i = 0; i < merged.points.size(); ++i) {
             if (merged.points[i].backend != backend) continue;

@@ -3,7 +3,13 @@
 // iterations (ghost semantics) for every built-in kernel.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <tuple>
+#include <unordered_map>
+
 #include "cone/cone.hpp"
+#include "dse/cone_library.hpp"
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/golden.hpp"
@@ -112,6 +118,132 @@ TEST(Cone, rejects_degenerate_specs) {
     EXPECT_THROW(Cone(step, Cone_spec{0, 1, 1}), Internal_error);
     EXPECT_THROW(Cone(step, Cone_spec{1, 1, 0}), Internal_error);
 }
+
+// --- the shared unroll memo against a per-cone reference --------------------
+
+// Reference cone: its (state, level, x, y) memo lives for this one cone
+// only, and its census and tree-expanded operation count come from walks
+// over the DAG, not from the lowered program.
+struct Reference_cone {
+    Register_program program;
+    Op_census census;
+    double naive_operation_count = 0.0;
+    Window input_window;
+};
+
+Reference_cone build_reference_cone(Stencil_step& step, int window, int depth) {
+    Expr_pool& pool = step.pool();
+    std::map<std::tuple<int, int, int, int>, Expr_id> memo;
+    std::function<Expr_id(int, int, int, int)> value = [&](int s, int level, int x,
+                                                          int y) -> Expr_id {
+        if (level == 0) {
+            const std::string& name = step.state_fields()[static_cast<std::size_t>(s)];
+            return pool.input(pool.find_field(name), x, y);
+        }
+        const auto key = std::make_tuple(s, level, x, y);
+        if (const auto it = memo.find(key); it != memo.end()) return it->second;
+        const Expr_id result =
+            transform_inputs(pool, step.update(s), [&](const Expr_node& leaf) -> Expr_id {
+                const int state_pos = step.state_position(leaf.field);
+                if (state_pos >= 0) {
+                    return value(state_pos, level - 1, x + leaf.dx, y + leaf.dy);
+                }
+                return pool.input(leaf.field, x + leaf.dx, y + leaf.dy);
+            });
+        memo.emplace(key, result);
+        return result;
+    };
+    std::vector<Expr_id> outputs;
+    for (int s = 0; s < step.state_field_count(); ++s) {
+        for (int y = 0; y < window; ++y) {
+            for (int x = 0; x < window; ++x) outputs.push_back(value(s, depth, x, y));
+        }
+    }
+
+    Reference_cone ref;
+    ref.program = build_program(pool, outputs);
+    std::unordered_map<Expr_id, double> naive;
+    for (Expr_id id : reachable_nodes(pool, outputs)) {
+        const Expr_node& n = pool.node(id);
+        ref.census.by_kind[n.kind] += 1;
+        if (is_operation(n.kind)) {
+            ref.census.operation_count += 1;
+        } else if (n.kind == Op_kind::input) {
+            ref.census.input_count += 1;
+        } else {
+            ref.census.constant_count += 1;
+        }
+        double cost = is_operation(n.kind) ? 1.0 : 0.0;
+        for (int i = 0; i < n.arg_count(); ++i) {
+            cost += naive.at(n.args[static_cast<std::size_t>(i)]);
+        }
+        naive.emplace(id, cost);
+    }
+    for (Expr_id root : outputs) ref.naive_operation_count += naive.at(root);
+    ref.input_window =
+        input_window_for(Window{0, 0, window, window}, step.footprint(), depth);
+    return ref;
+}
+
+bool same_instruction(const Instruction& a, const Instruction& b) {
+    return std::tie(a.kind, a.value, a.field, a.dx, a.dy, a.operands, a.operand_count,
+                    a.level) == std::tie(b.kind, b.value, b.field, b.dx, b.dy,
+                                         b.operands, b.operand_count, b.level);
+}
+
+// Every build order over the DSE's 9x5 grid (windows x depths) gives, cone
+// by cone, the program, stats and pool size the per-cone memo gives in the
+// same order: a recomputed value would intern nothing new.
+class Shared_unroll_memo : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Shared_unroll_memo, matches_per_cone_memo_in_every_build_order) {
+    const std::string& kernel = GetParam();
+    constexpr int max_window = 9;
+    constexpr int max_depth = 5;
+    std::vector<std::pair<int, int>> depth_major;  // the order calibrate() builds
+    for (int d = 1; d <= max_depth; ++d) {
+        for (int w = 1; w <= max_window; ++w) depth_major.push_back({w, d});
+    }
+    std::vector<std::pair<int, int>> window_major;
+    for (int w = 1; w <= max_window; ++w) {
+        for (int d = 1; d <= max_depth; ++d) window_major.push_back({w, d});
+    }
+    std::vector<std::pair<int, int>> reverse(depth_major.rbegin(), depth_major.rend());
+
+    for (const auto& order : {depth_major, window_major, reverse}) {
+        Cone_library library(step_of(kernel), kernel);
+        Stencil_step reference_step = step_of(kernel);
+        for (const auto& [w, d] : order) {
+            const Cone& cone = library.cone(w, d);
+            const Reference_cone ref = build_reference_cone(reference_step, w, d);
+            const std::string where = kernel + " " + to_string(cone.spec());
+
+            const std::vector<Instruction>& got = cone.program().instructions();
+            const std::vector<Instruction>& want = ref.program.instructions();
+            ASSERT_EQ(got.size(), want.size()) << where;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_TRUE(same_instruction(got[i], want[i])) << where << " instr " << i;
+            }
+            EXPECT_EQ(cone.program().outputs(), ref.program.outputs()) << where;
+
+            const Cone_stats& stats = cone.stats();
+            EXPECT_EQ(stats.register_count, ref.program.register_count()) << where;
+            EXPECT_EQ(stats.input_count, ref.program.input_count()) << where;
+            EXPECT_EQ(stats.pipeline_depth, ref.program.depth()) << where;
+            EXPECT_EQ(stats.census.by_kind, ref.census.by_kind) << where;
+            EXPECT_EQ(stats.census.operation_count, ref.census.operation_count) << where;
+            EXPECT_EQ(stats.census.input_count, ref.census.input_count) << where;
+            EXPECT_EQ(stats.census.constant_count, ref.census.constant_count) << where;
+            EXPECT_EQ(stats.naive_operation_count, ref.naive_operation_count) << where;
+            EXPECT_EQ(stats.input_window, ref.input_window) << where;
+            ASSERT_EQ(library.step().pool().size(), reference_step.pool().size())
+                << where;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, Shared_unroll_memo, ::testing::ValuesIn(kernel_names()),
+                         [](const auto& info) { return info.param; });
 
 // The core property (paper Sec. 3.1): evaluating the cone at window origin
 // (ox, oy) with inputs read from the frame equals d ghost-golden iterations.

@@ -25,7 +25,7 @@ protected:
 TEST_F(Ir_fixture, census_counts_unique_nodes_once) {
     const Expr_id shared = pool.add(in(0, 0), in(1, 0));
     const Expr_id e = pool.mul(shared, shared);  // mul(x, x) — one mul, one add
-    const Op_census census = count_ops(pool, {e});
+    const Op_census census = census_of(build_program(pool, {e})).ops;
     EXPECT_EQ(census.count(Op_kind::add), 1);
     EXPECT_EQ(census.count(Op_kind::mul), 1);
     EXPECT_EQ(census.operation_count, 2);
@@ -34,12 +34,12 @@ TEST_F(Ir_fixture, census_counts_unique_nodes_once) {
 }
 
 TEST_F(Ir_fixture, depth_is_longest_operand_chain) {
-    EXPECT_EQ(dag_depth(pool, {in(0, 0)}), 0);
+    EXPECT_EQ(build_program(pool, {in(0, 0)}).depth(), 0);
     const Expr_id s1 = pool.add(in(0, 0), in(1, 0));
-    EXPECT_EQ(dag_depth(pool, {s1}), 1);
+    EXPECT_EQ(build_program(pool, {s1}).depth(), 1);
     const Expr_id s2 = pool.add(s1, in(2, 0));
     const Expr_id s3 = pool.mul(s2, s1);
-    EXPECT_EQ(dag_depth(pool, {s3}), 3);
+    EXPECT_EQ(build_program(pool, {s3}).depth(), 3);
 }
 
 TEST_F(Ir_fixture, support_is_sorted_and_unique) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -132,6 +134,30 @@ TEST(Parallel_dse, cone_library_survives_concurrent_hammering) {
     double total = 0.0;
     for (double c : library.synthesis_costs()) total += c;
     EXPECT_DOUBLE_EQ(library.synthesis_cpu_seconds(), total);
+}
+
+// A fresh synthesis enters the memo map before the persistent store sees
+// it. Otherwise a racing worker could load the just-stored report, win the
+// insert and flag it as a load, and synthesis_runs() would come out low.
+TEST(Parallel_dse, fresh_synthesis_is_counted_before_it_is_stored) {
+    Cone_library library(extract_stencil(kernel_by_name("jacobi").c_source),
+                         "jacobi");
+    const Fpga_device& device = device_by_name("generic_small");
+    const Synth_options synth;
+    int stores = 0;
+    Synthesis_store store;
+    store.load = [](const std::string&) { return std::optional<Synthesis_report>{}; };
+    store.store = [&](const std::string&, const Synthesis_report&) {
+        ++stores;
+        EXPECT_EQ(library.synthesis_runs(), stores);
+        EXPECT_EQ(library.synthesis_loads(), 0);
+    };
+    library.attach_synthesis_store(store, "jacobi/");
+    library.synthesis(1, 1, device, synth);
+    library.synthesis(2, 1, device, synth);
+    library.synthesis(1, 1, device, synth);  // memo hit: no second store
+    EXPECT_EQ(stores, 2);
+    EXPECT_EQ(library.synthesis_runs(), 2);
 }
 
 TEST(Parallel_dse, sweep_session_matches_standalone_explorers) {
