@@ -60,9 +60,9 @@ public:
     std::string support_package() const;
 
     // Exploration entry points (see Explorer).
-    Explorer::Pareto_result pareto();
-    Explorer::Fit_result device_fit();
-    Explorer::Area_validation area_validation();
+    Pareto_result pareto();
+    Fit_result device_fit();
+    Area_validation area_validation();
 
     // Human-readable flow summary (dependencies, footprint, cone examples).
     std::string describe();

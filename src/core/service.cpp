@@ -145,6 +145,17 @@ Library_meters total_meters(
     return total;
 }
 
+// The record stored under `key`, or nullopt when the cache misses or holds
+// a record that no longer parses (schema drift degrades to a recompute).
+template <class Record>
+std::optional<Record> load_record(Result_cache& cache, const std::string& key) {
+    const std::optional<std::string> payload = cache.load(key);
+    Record record;
+    std::string error;
+    if (!payload || !parse_record(*payload, &record, &error)) return std::nullopt;
+    return record;
+}
+
 }  // namespace
 
 Sweep_service::Sweep_service(Service_options options)
@@ -174,14 +185,8 @@ Cone_library& Sweep_service::library(const std::string& kernel) {
             // the cache's own counters.
             Result_cache* cache = cache_.get();
             Synthesis_store store;
-            store.load =
-                [cache](const std::string& k) -> std::optional<Synthesis_report> {
-                std::optional<std::string> payload = cache->load(k);
-                if (!payload) return std::nullopt;
-                Synthesis_report report;
-                std::string error;
-                if (!parse_record(*payload, &report, &error)) return std::nullopt;
-                return report;
+            store.load = [cache](const std::string& k) {
+                return load_record<Synthesis_report>(*cache, k);
             };
             store.store = [cache](const std::string& k,
                                   const Synthesis_report& report) {
@@ -233,17 +238,14 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
                 if (cache_) {
                     entry_key = sweep_entry_key(ikey, config, device_name,
                                                 iterations, backend_name);
-                    if (std::optional<std::string> payload = cache_->load(entry_key)) {
-                        Sweep_entry cached;
-                        std::string error;
-                        if (parse_record(*payload, &cached, &error)) {
-                            ++report.entry_hits;
-                            report.entries.push_back(std::move(cached));
-                            continue;  // served without any recomputation
-                        }
-                        // Checksum-valid but schema-stale record: recompute
-                        // and overwrite below.
+                    if (std::optional<Sweep_entry> cached =
+                            load_record<Sweep_entry>(*cache_, entry_key)) {
+                        ++report.entry_hits;
+                        report.entries.push_back(std::move(*cached));
+                        continue;  // served without any recomputation
                     }
+                    // A miss, or a checksum-valid but schema-stale record:
+                    // recompute and overwrite below.
                     ++report.entry_misses;
                 }
 
@@ -268,22 +270,13 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
                 // carries device-priced per-format evaluations, so it is
                 // searched once per (content, device) and shared across
                 // iteration counts, backends and requests.
-                auto format_grid = [&]() -> const Explorer::Format_grid& {
+                auto format_grid = [&]() -> const Format_grid& {
                     const std::string gkey =
                         format_grid_key(ikey, config, device_name);
                     auto grid_it = format_grids_.find(gkey);
                     if (grid_it == format_grids_.end()) {
-                        std::optional<Explorer::Format_grid> loaded;
-                        if (cache_) {
-                            if (std::optional<std::string> payload =
-                                    cache_->load(gkey)) {
-                                Explorer::Format_grid parsed;
-                                std::string error;
-                                if (parse_record(*payload, &parsed, &error)) {
-                                    loaded = std::move(parsed);
-                                }
-                            }
-                        }
+                        std::optional<Format_grid> loaded;
+                        if (cache_) loaded = load_record<Format_grid>(*cache_, gkey);
                         if (loaded) {
                             ++report.grid_hits;
                             grid_it =
@@ -395,11 +388,11 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
 
                 Explorer explorer(lib, device, evaluator_options, space,
                                   shared_pool);
-                const Explorer::Fit_result fit = explorer.fit_device();
+                const Fit_result fit = explorer.fit_device();
                 entry.fits = fit.has_best;
                 if (fit.has_best) entry.best = fit.best;
                 if (config.with_pareto) {
-                    const Explorer::Pareto_result pareto = explorer.explore_pareto();
+                    const Pareto_result pareto = explorer.explore_pareto();
                     entry.pareto_points = pareto.points.size();
                     entry.pareto_front_size = pareto.front.size();
                     for (std::size_t i : pareto.front) {
@@ -418,7 +411,7 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
                     // classes (each achieves at least it at the covering
                     // width) — exact classes contribute no decibel number,
                     // they are flagged, not folded in as a sentinel.
-                    const Explorer::Format_grid& grid = format_grid();
+                    const Format_grid& grid = format_grid();
                     entry.format_searched = true;
                     entry.format_satisfiable = true;
                     entry.format_exact = true;

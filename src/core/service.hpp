@@ -22,8 +22,8 @@
 //     harness (tests/test_fault_injection.cpp) can exercise torn writes,
 //     ENOSPC and stuck jobs deterministically.
 //
-// Sweep_session (core/sweep.hpp) remains the one-shot front: it validates a
-// config at construction and delegates to a private, cache-less service.
+// It is the one front door for sweeps: a one-shot caller constructs a
+// default (in-memory) service and calls run(config) once.
 #pragma once
 
 #include <map>
@@ -106,7 +106,7 @@ private:
     // Format grids keyed by their full content key (kernel identity plus
     // every grid-affecting option), so requests with different search
     // settings never share a grid.
-    std::map<std::string, Explorer::Format_grid> format_grids_;
+    std::map<std::string, Format_grid> format_grids_;
 };
 
 }  // namespace islhls

@@ -1,28 +1,23 @@
-// Batch sweeps: many kernels × devices × iteration counts through one
-// session-wide cache.
+// Batch sweeps: many kernels × devices × iteration counts — the
+// configuration, the report types and the report renderings.
 //
-// A Sweep_session keeps one Cone_library per kernel for its whole lifetime,
-// so cones are built once per (window, depth) no matter how many devices or
-// iteration counts ask for them, and virtual syntheses are shared across
-// iteration counts (they are keyed by device inside the library). Each
-// combination runs the full device fit — and optionally the Pareto sweep —
-// through a parallel Explorer (Space_options::threads). Combinations
-// themselves run in their nesting order so the report is deterministic; the
-// parallelism lives inside each exploration.
+// A sweep runs through Sweep_service (core/service.hpp), which keeps one
+// Cone_library per kernel for its whole lifetime, so cones are built once
+// per (window, depth) no matter how many devices or iteration counts ask for
+// them, and virtual syntheses are shared across iteration counts (they are
+// keyed by device inside the library). Each combination runs the full device
+// fit — and optionally the Pareto sweep — through a parallel Explorer
+// (Space_options::threads). Combinations themselves run in their nesting
+// order so the report is deterministic; the parallelism lives inside each
+// exploration.
 //
-// One Thread_pool serves the whole session: every Explorer fans its
+// One Thread_pool serves a whole request: every Explorer fans its
 // candidates across it, and the optional golden validation runs (functional
 // architecture simulation checked against the ghost golden, executed by the
 // compiled engine) route their row fan-out through the same pool via
 // Exec_options::pool — no per-run() pool construction anywhere in a sweep.
-//
-// The sweep machinery itself lives in Sweep_service (core/service.hpp),
-// which additionally offers a persistent content-addressed result cache and
-// a fault-tolerant batch front-end; Sweep_session is the one-shot in-memory
-// wrapper that the tests and the classic `islhls sweep` path drive.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,7 +36,7 @@ struct Sweep_config {
     int frame_height = 768;
     Fixed_format format;
     // `iterations` is overridden per combination; `threads` sets the fan-out
-    // width of every exploration in the session.
+    // width of every exploration in the request.
     Space_options space;
     Throughput_params throughput;
     std::vector<int> calibration_windows = {1, 2};
@@ -64,7 +59,7 @@ struct Sweep_config {
     // Per-architecture fixed-point formats: run the format search over every
     // (window, depth) cell once per (kernel, device) — the grid is
     // N-independent but each cell carries a full evaluation of its canonical
-    // design point at the searched format, so the session caches it per
+    // design point at the searched format, so the service caches it per
     // device — record the narrowest format covering each feasible fit's
     // depth classes as a report column, and re-run the full evaluation of
     // the fit at that width (area, f_max and fps) instead of pricing at the
@@ -171,35 +166,9 @@ struct Sweep_report {
 };
 
 // Validates a sweep configuration, throwing a named user error (kind
-// Error_kind::user) for each way a config can be malformed. Shared by
-// Sweep_session (at construction) and Sweep_service (per request).
+// Error_kind::user) for each way a config can be malformed. Sweep_service
+// runs it on every request before any work starts.
 void validate_config(const Sweep_config& config);
-
-class Sweep_service;
-
-class Sweep_session {
-public:
-    // Throws (kind user) for invalid configs.
-    explicit Sweep_session(Sweep_config config);
-    ~Sweep_session();
-
-    // Runs every kernel × device × iteration-count combination.
-    Sweep_report run();
-
-    // The session cache for one kernel: frontend + symbolic execution happen
-    // on first use, after which every device and iteration count shares the
-    // same memoized cones and syntheses.
-    Cone_library& library(const std::string& kernel);
-
-    const Sweep_config& config() const { return config_; }
-
-private:
-    Sweep_config config_;
-    // The engine: a private, cache-less (in-memory) sweep service. Long-
-    // lived callers wanting the persistent result cache and the batch
-    // front-end use core/service.hpp directly.
-    std::unique_ptr<Sweep_service> service_;
-};
 
 // The deterministic per-combination table alone: byte-identical across
 // reruns of the same config (cold or warm cache, any thread count).

@@ -1,9 +1,13 @@
 #include "core/sweep_records.hpp"
 
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "ir/print.hpp"
 #include "support/text.hpp"
@@ -33,50 +37,143 @@ bool decode_double_bits(const std::string& text, double* value) {
 
 namespace {
 
-// --- strict line-oriented reading -------------------------------------------------
-// Records are `name value...` lines read in a fixed order; any deviation
-// (wrong name, malformed value, trailing garbage) fails the whole parse and
+// --- the line grammar ---------------------------------------------------------------
+// A record is a `schema version` line, then `name value...` lines in the
+// order its field list states, then `end`. Each value on a line follows one
+// space and is encoded by its type:
+//   integer          canonical decimal (optional '-', no leading zeros, no
+//                    "-0"), within the field type's range;
+//   double           the 16-hex-digit IEEE-754 bit pattern;
+//   bool             0 / 1;
+//   std::string      the rest of the line (spaces allowed, so always last);
+//   std::vector      one value per element, the rest of the line;
+//   std::map         one key:value per element, the rest of the line.
+// An empty vector or map, like an empty note(), leaves the bare name. The
+// reader accepts exactly what the writer emits; any deviation (wrong name,
+// malformed value, stray space, trailing garbage) fails the whole parse and
 // the caller recomputes.
-class Line_reader {
+
+template <class T>
+concept Integer = std::integral<T> && !std::same_as<T, bool>;
+
+class Record_writer {
 public:
-    explicit Line_reader(const std::string& text) {
+    void schema(const char* name, const char* version) {
+        os_ << name << ' ' << version << '\n';
+    }
+
+    template <class... Values>
+    void field(const char* name, const Values&... values) {
+        os_ << name;
+        (put(values), ...);
+        os_ << '\n';
+    }
+
+    // Free text that may be empty: the bare name then.
+    void note(const char* name, const std::string& text) {
+        os_ << name;
+        if (!text.empty()) os_ << ' ' << text;
+        os_ << '\n';
+    }
+
+    template <class T>
+    void sequence(std::vector<T>&, std::size_t) {}
+
+    std::string finish() {
+        os_ << "end\n";
+        return os_.str();
+    }
+
+private:
+    template <Integer T>
+    static std::string encode(T v) { return std::to_string(v); }
+    static std::string encode(bool v) { return v ? "1" : "0"; }
+    static std::string encode(double v) { return encode_double_bits(v); }
+
+    template <class T>
+    void put(const T& v) { os_ << ' ' << encode(v); }
+    void put(const std::string& v) { os_ << ' ' << v; }
+    template <class T>
+    void put(const std::vector<T>& items) {
+        for (const T& item : items) put(item);
+    }
+    template <class K, class V>
+    void put(const std::map<K, V>& items) {
+        for (const auto& [key, value] : items) {
+            os_ << ' ' << encode(key) << ':' << encode(value);
+        }
+    }
+
+    std::ostringstream os_;
+};
+
+class Record_reader {
+public:
+    explicit Record_reader(const std::string& text) {
         for (const std::string& line : split(text, '\n')) lines_.push_back(line);
         // A well-formed record ends with "end\n", so split leaves one empty
         // trailing element; drop it.
         if (!lines_.empty() && lines_.back().empty()) lines_.pop_back();
     }
 
-    // Consumes the next line, requiring its first token to be `name`;
-    // `*rest` receives everything after the single separating space ("" for
-    // a bare `name` line).
-    bool expect(const std::string& name, std::string* rest) {
-        if (failed_ || next_ >= lines_.size()) return fail(name, "<end>");
-        const std::string& line = lines_[next_];
-        if (line == name) {
-            ++next_;
-            *rest = "";
-            return true;
+    void schema(const char* name, const char* version) {
+        std::string_view rest;
+        if (expect(name, &rest) && (!skip_space(rest) || rest != version)) {
+            fail_value(cat(name, " version"));
         }
-        if (line.size() > name.size() && line.compare(0, name.size(), name) == 0 &&
-            line[name.size()] == ' ') {
-            ++next_;
-            *rest = line.substr(name.size() + 1);
-            return true;
-        }
-        return fail(name, line);
     }
 
-    bool done() {
+    template <class... Values>
+    void field(const char* name, Values&... values) {
+        std::string_view rest;
+        if (!expect(name, &rest)) return;
+        if (!(take(rest, values) && ...) || !rest.empty()) fail_value(name);
+    }
+
+    void note(const char* name, std::string& text) {
+        std::string_view rest;
+        if (!expect(name, &rest)) return;
+        text.clear();
+        if (!rest.empty() && (!take(rest, text) || text.empty())) fail_value(name);
+    }
+
+    // Sizes `items` for the `count` rows that follow; a count beyond the
+    // remaining lines is corrupt, so it fails before allocating anything.
+    template <class T>
+    void sequence(std::vector<T>& items, std::size_t count) {
+        if (!failed_ && count > lines_.size() - next_) fail_value("count");
+        items.resize(failed_ ? 0 : count);
+    }
+
+    bool finish(std::string* error) {
+        std::string_view rest;
+        if (expect("end", &rest) && !rest.empty()) fail_value("end");
+        if (!failed_ && next_ != lines_.size()) fail("<end>", lines_[next_]);
+        if (failed_) *error = error_;
+        return !failed_;
+    }
+
+private:
+    // Consumes the next line, requiring its first token to be `name`;
+    // `*rest` receives everything after the name, separating space included.
+    bool expect(std::string_view name, std::string_view* rest) {
         if (failed_) return false;
-        if (next_ != lines_.size()) return fail("<end>", lines_[next_]);
+        if (next_ >= lines_.size()) return fail(name, "<end>");
+        const std::string_view line = lines_[next_];
+        if (!line.starts_with(name) ||
+            (line.size() > name.size() && line[name.size()] != ' ')) {
+            return fail(name, line);
+        }
+        ++next_;
+        *rest = line.substr(name.size());
         return true;
     }
 
-    bool fail(const std::string& wanted, const std::string& got) {
+    bool fail(std::string_view wanted, std::string_view got) {
         if (!failed_) {
             failed_ = true;
-            error_ = cat("line ", next_ + 1, ": expected '", wanted, "', got '",
-                         got, "'");
+            error_ = cat("line ", next_ + 1, ": expected '", wanted, "', got '", got,
+                         "'");
         }
         return false;
     }
@@ -88,561 +185,246 @@ public:
         }
     }
 
-    bool failed() const { return failed_; }
-    const std::string& error() const { return error_; }
+    static bool skip_space(std::string_view& rest) {
+        if (!rest.starts_with(' ')) return false;
+        rest.remove_prefix(1);
+        return true;
+    }
+    static std::string_view token(std::string_view& rest) {
+        const std::string_view out = rest.substr(0, rest.find(' '));
+        rest.remove_prefix(out.size());
+        return out;
+    }
 
-private:
+    // Scalar decoders over one whole token.
+    template <Integer T>
+    static bool decode(std::string_view text, T& value) {
+        // Only the writer's own spelling, so serialize(parse(s)) == s holds.
+        const std::string_view digits = text.starts_with('-') ? text.substr(1) : text;
+        if (digits.empty() || (digits[0] == '0' && text.size() > 1)) return false;
+        // from_chars takes no '+' and no whitespace, and reports values
+        // outside T's range instead of narrowing them.
+        const char* end = text.data() + text.size();
+        const auto [stop, ec] = std::from_chars(text.data(), end, value);
+        return ec == std::errc{} && stop == end;
+    }
+    static bool decode(std::string_view text, bool& value) {
+        value = text == "1";
+        return text == "0" || text == "1";
+    }
+    static bool decode(std::string_view text, double& value) {
+        return decode_double_bits(std::string(text), &value);
+    }
+
+    // Value readers, mirroring Record_writer::put: each consumes one space
+    // and its encoding from the front of `rest`.
+    template <class T>
+    static bool take(std::string_view& rest, T& value) {
+        return skip_space(rest) && decode(token(rest), value);
+    }
+    static bool take(std::string_view& rest, std::string& value) {
+        if (!skip_space(rest)) return false;
+        value = rest;
+        rest = {};
+        return true;
+    }
+    template <class T>
+    static bool take(std::string_view& rest, std::vector<T>& items) {
+        items.clear();
+        while (!rest.empty()) {
+            if (!take(rest, items.emplace_back())) return false;
+        }
+        return true;
+    }
+    template <class K, class V>
+    static bool take(std::string_view& rest, std::map<K, V>& items) {
+        items.clear();
+        while (!rest.empty()) {
+            if (!skip_space(rest)) return false;
+            const std::string_view item = token(rest);
+            const auto colon = item.find(':');
+            K key{};
+            V value{};
+            if (colon == std::string_view::npos || !decode(item.substr(0, colon), key) ||
+                !decode(item.substr(colon + 1), value)) {
+                return false;
+            }
+            // Strictly ascending keys, as the writer emits them.
+            if (!items.empty() && key <= items.rbegin()->first) return false;
+            items.emplace(key, value);
+        }
+        return true;
+    }
+
     std::vector<std::string> lines_;
     std::size_t next_ = 0;
     bool failed_ = false;
     std::string error_;
 };
 
-bool parse_ll_strict(const std::string& text, long long* value) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    *value = std::strtoll(text.c_str(), &end, 10);
-    return end == text.c_str() + text.size();
+// --- field lists ----------------------------------------------------------------------
+// One per record type, run by both the writer and the reader: each field's
+// name, position and encoding are stated here and nowhere else.
+
+template <class Io>
+void fields(Io& io, Arch_evaluation& e) {
+    io.field("eval.window", e.instance.window);
+    io.field("eval.depths", e.instance.level_depths);
+    io.field("eval.cores", e.instance.cores_per_depth);
+    io.field("eval.feasible", e.feasible);
+    io.note("eval.reason", e.infeasible_reason);
+    io.field("eval.estimated_area_luts", e.estimated_area_luts);
+    io.field("eval.actual_area_luts", e.actual_area_luts);
+    io.field("eval.f_max_mhz", e.f_max_mhz);
+    io.field("eval.windows_per_frame", e.windows_per_frame);
+    io.field("eval.tp.cycles_per_window", e.throughput.cycles_per_window);
+    io.field("eval.tp.core_bound", e.throughput.core_bound_cycles);
+    io.field("eval.tp.onchip_bound", e.throughput.onchip_bound_cycles);
+    io.field("eval.tp.offchip_bound", e.throughput.offchip_bound_cycles);
+    io.note("eval.tp.bottleneck", e.throughput.bottleneck);
+    io.field("eval.tp.seconds_per_frame", e.throughput.seconds_per_frame);
+    io.field("eval.tp.fps", e.throughput.fps);
+    io.field("eval.tp.class_cycles", e.throughput.class_cycles);
+    io.field("eval.mem.input", e.memory.input_buffer_kbits);
+    io.field("eval.mem.intermediate", e.memory.intermediate_kbits);
+    io.field("eval.mem.output", e.memory.output_buffer_kbits);
+    io.field("eval.mem.total", e.memory.total_kbits);
+    io.field("eval.mem.whole_frame", e.memory.whole_frame_kbits);
+    io.field("eval.mem.saving", e.memory.saving_factor);
 }
 
-// Field helpers over the reader: each consumes one `name value` line.
-bool read_ll(Line_reader& r, const std::string& name, long long* value) {
-    std::string rest;
-    if (!r.expect(name, &rest)) return false;
-    if (!parse_ll_strict(rest, value)) {
-        r.fail_value(name);
-        return false;
-    }
-    return true;
+template <class Io>
+void fields(Io& io, Streaming_evaluation& e) {
+    io.field("stream.config", e.config.depth, e.config.vector_width, e.config.pe_count,
+             e.config.channels);
+    io.field("stream.feasible", e.feasible);
+    io.note("stream.reason", e.infeasible_reason);
+    io.field("stream.area_luts", e.area_luts);
+    io.field("stream.datapath_luts", e.datapath_luts);
+    io.field("stream.line_buffer_luts", e.line_buffer_luts);
+    io.field("stream.line_buffer_kbits", e.line_buffer_kbits);
+    io.field("stream.f_max_mhz", e.f_max_mhz);
+    io.field("stream.passes", e.passes);
+    io.field("stream.compute_cycles", e.compute_cycles);
+    io.field("stream.memory_cycles", e.memory_cycles);
+    io.field("stream.cycles_per_pass", e.cycles_per_pass);
+    io.note("stream.bottleneck", e.bottleneck);
+    io.field("stream.seconds_per_frame", e.seconds_per_frame);
+    io.field("stream.fps", e.fps);
 }
 
-bool read_int(Line_reader& r, const std::string& name, int* value) {
-    long long wide = 0;
-    if (!read_ll(r, name, &wide)) return false;
-    *value = static_cast<int>(wide);
-    return true;
-}
-
-bool read_size(Line_reader& r, const std::string& name, std::size_t* value) {
-    long long wide = 0;
-    if (!read_ll(r, name, &wide) || wide < 0) return false;
-    *value = static_cast<std::size_t>(wide);
-    return true;
-}
-
-bool read_bool(Line_reader& r, const std::string& name, bool* value) {
-    std::string rest;
-    if (!r.expect(name, &rest)) return false;
-    if (rest != "0" && rest != "1") {
-        r.fail_value(name);
-        return false;
-    }
-    *value = rest == "1";
-    return true;
-}
-
-bool read_double(Line_reader& r, const std::string& name, double* value) {
-    std::string rest;
-    if (!r.expect(name, &rest)) return false;
-    if (!decode_double_bits(rest, value)) {
-        r.fail_value(name);
-        return false;
-    }
-    return true;
-}
-
-bool read_text(Line_reader& r, const std::string& name, std::string* value) {
-    return r.expect(name, value);
-}
-
-// --- Arch_evaluation block --------------------------------------------------------
-
-void write_evaluation(std::ostringstream& os, const Arch_evaluation& e) {
-    os << "eval.window " << e.instance.window << "\n";
-    os << "eval.depths";
-    for (int d : e.instance.level_depths) os << " " << d;
-    os << "\n";
-    os << "eval.cores";
-    for (const auto& [depth, cores] : e.instance.cores_per_depth) {
-        os << " " << depth << ":" << cores;
-    }
-    os << "\n";
-    os << "eval.feasible " << (e.feasible ? 1 : 0) << "\n";
-    os << "eval.reason";
-    if (!e.infeasible_reason.empty()) os << " " << e.infeasible_reason;
-    os << "\n";
-    os << "eval.estimated_area_luts " << encode_double_bits(e.estimated_area_luts)
-       << "\n";
-    os << "eval.actual_area_luts " << encode_double_bits(e.actual_area_luts) << "\n";
-    os << "eval.f_max_mhz " << encode_double_bits(e.f_max_mhz) << "\n";
-    os << "eval.windows_per_frame " << e.windows_per_frame << "\n";
-    os << "eval.tp.cycles_per_window "
-       << encode_double_bits(e.throughput.cycles_per_window) << "\n";
-    os << "eval.tp.core_bound " << encode_double_bits(e.throughput.core_bound_cycles)
-       << "\n";
-    os << "eval.tp.onchip_bound "
-       << encode_double_bits(e.throughput.onchip_bound_cycles) << "\n";
-    os << "eval.tp.offchip_bound "
-       << encode_double_bits(e.throughput.offchip_bound_cycles) << "\n";
-    os << "eval.tp.bottleneck";
-    if (!e.throughput.bottleneck.empty()) os << " " << e.throughput.bottleneck;
-    os << "\n";
-    os << "eval.tp.seconds_per_frame "
-       << encode_double_bits(e.throughput.seconds_per_frame) << "\n";
-    os << "eval.tp.fps " << encode_double_bits(e.throughput.fps) << "\n";
-    os << "eval.tp.class_cycles";
-    for (const auto& [depth, cycles] : e.throughput.class_cycles) {
-        os << " " << depth << ":" << encode_double_bits(cycles);
-    }
-    os << "\n";
-    os << "eval.mem.input " << encode_double_bits(e.memory.input_buffer_kbits)
-       << "\n";
-    os << "eval.mem.intermediate " << encode_double_bits(e.memory.intermediate_kbits)
-       << "\n";
-    os << "eval.mem.output " << encode_double_bits(e.memory.output_buffer_kbits)
-       << "\n";
-    os << "eval.mem.total " << encode_double_bits(e.memory.total_kbits) << "\n";
-    os << "eval.mem.whole_frame " << encode_double_bits(e.memory.whole_frame_kbits)
-       << "\n";
-    os << "eval.mem.saving " << encode_double_bits(e.memory.saving_factor) << "\n";
-}
-
-bool read_evaluation(Line_reader& r, Arch_evaluation* e) {
-    if (!read_int(r, "eval.window", &e->instance.window)) return false;
-    std::string rest;
-    if (!r.expect("eval.depths", &rest)) return false;
-    e->instance.level_depths.clear();
-    if (!rest.empty()) {
-        for (const std::string& part : split(rest, ' ')) {
-            long long depth = 0;
-            if (!parse_ll_strict(part, &depth)) {
-                r.fail_value("eval.depths");
-                return false;
-            }
-            e->instance.level_depths.push_back(static_cast<int>(depth));
+template <class Io>
+void fields(Io& io, Sweep_entry& e) {
+    io.schema("sweep-entry", "v3");
+    io.field("kernel", e.kernel);
+    io.field("device", e.device);
+    io.field("iterations", e.iterations);
+    io.field("backend", e.backend);
+    io.field("fits", e.fits);
+    if (e.fits) {
+        if (e.backend == "streaming") {
+            fields(io, e.streaming_best);
+        } else {
+            fields(io, e.best);
         }
     }
-    if (!r.expect("eval.cores", &rest)) return false;
-    e->instance.cores_per_depth.clear();
-    if (!rest.empty()) {
-        for (const std::string& part : split(rest, ' ')) {
-            const auto colon = part.find(':');
-            long long depth = 0;
-            long long cores = 0;
-            if (colon == std::string::npos ||
-                !parse_ll_strict(part.substr(0, colon), &depth) ||
-                !parse_ll_strict(part.substr(colon + 1), &cores)) {
-                r.fail_value("eval.cores");
-                return false;
-            }
-            e->instance.cores_per_depth[static_cast<int>(depth)] =
-                static_cast<int>(cores);
-        }
+    io.field("pareto_points", e.pareto_points);
+    io.field("pareto_front", e.pareto_front_size);
+    std::size_t front_count = e.front_points.size();
+    io.field("front_points", front_count);
+    io.sequence(e.front_points, front_count);
+    for (Front_point& fp : e.front_points) {
+        // Config last: it may contain spaces (architecture renderings do)
+        // but never newlines, so everything after the third value is it.
+        io.field("fp", fp.area_luts, fp.seconds_per_frame, fp.fps, fp.config);
     }
-    if (!read_bool(r, "eval.feasible", &e->feasible)) return false;
-    if (!read_text(r, "eval.reason", &e->infeasible_reason)) return false;
-    if (!read_double(r, "eval.estimated_area_luts", &e->estimated_area_luts)) {
-        return false;
+    io.field("validated", e.validated);
+    io.field("validation_max_abs_err", e.validation_max_abs_err);
+    io.field("format_searched", e.format_searched);
+    io.field("format_satisfiable", e.format_satisfiable);
+    io.field("format_exact", e.format_exact);
+    io.field("format", e.fixed_format.integer_bits, e.fixed_format.frac_bits);
+    io.field("format_psnr_db", e.format_psnr_db);
+    io.field("searched_area_luts", e.searched_area_luts);
+    io.field("searched_fps", e.searched_fps);
+    io.field("searched_f_max_mhz", e.searched_f_max_mhz);
+    io.field("validated_fixed", e.validated_fixed);
+    io.field("validation_max_raw_err", e.validation_max_raw_err);
+}
+
+template <class Io>
+void fields(Io& io, Format_grid& grid) {
+    io.schema("format-grid", "v3");
+    io.field("backend", grid.backend);
+    std::size_t count = grid.cells.size();
+    io.field("cells", count);
+    io.sequence(grid.cells, count);
+    for (Format_cell& cell : grid.cells) {
+        // Fourteen fixed values per cell: the search result (with explicit
+        // exactness and the pre-shrink range floor) plus the per-format full
+        // evaluation of the cell's canonical design point (zeros when the
+        // cell was not evaluated).
+        Format_search_result& r = cell.result;
+        io.field("cell", cell.window, cell.depth, r.format.integer_bits,
+                 r.format.frac_bits, r.psnr_db, r.exact, r.max_abs_value,
+                 r.range_integer_bits, r.formats_tried, r.satisfiable, cell.evaluated,
+                 cell.area_luts, cell.f_max_mhz, cell.fps);
     }
-    if (!read_double(r, "eval.actual_area_luts", &e->actual_area_luts)) return false;
-    if (!read_double(r, "eval.f_max_mhz", &e->f_max_mhz)) return false;
-    if (!read_ll(r, "eval.windows_per_frame", &e->windows_per_frame)) return false;
-    if (!read_double(r, "eval.tp.cycles_per_window",
-                     &e->throughput.cycles_per_window)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.core_bound", &e->throughput.core_bound_cycles)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.onchip_bound", &e->throughput.onchip_bound_cycles)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.offchip_bound",
-                     &e->throughput.offchip_bound_cycles)) {
-        return false;
-    }
-    if (!read_text(r, "eval.tp.bottleneck", &e->throughput.bottleneck)) return false;
-    if (!read_double(r, "eval.tp.seconds_per_frame",
-                     &e->throughput.seconds_per_frame)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.fps", &e->throughput.fps)) return false;
-    if (!r.expect("eval.tp.class_cycles", &rest)) return false;
-    e->throughput.class_cycles.clear();
-    if (!rest.empty()) {
-        for (const std::string& part : split(rest, ' ')) {
-            const auto colon = part.find(':');
-            long long depth = 0;
-            double cycles = 0.0;
-            if (colon == std::string::npos ||
-                !parse_ll_strict(part.substr(0, colon), &depth) ||
-                !decode_double_bits(part.substr(colon + 1), &cycles)) {
-                r.fail_value("eval.tp.class_cycles");
-                return false;
-            }
-            e->throughput.class_cycles[static_cast<int>(depth)] = cycles;
-        }
-    }
-    if (!read_double(r, "eval.mem.input", &e->memory.input_buffer_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.intermediate", &e->memory.intermediate_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.output", &e->memory.output_buffer_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.total", &e->memory.total_kbits)) return false;
-    if (!read_double(r, "eval.mem.whole_frame", &e->memory.whole_frame_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.saving", &e->memory.saving_factor)) return false;
+}
+
+template <class Io>
+void fields(Io& io, Synthesis_report& r) {
+    io.schema("synthesis-report", "v1");
+    io.note("design", r.design_name);
+    io.field("lut_count", r.lut_count);
+    io.field("raw_lut_count", r.raw_lut_count);
+    io.field("ff_count", r.ff_count);
+    io.field("dsp_count", r.dsp_count);
+    io.field("bram_kbits", r.bram_kbits);
+    io.field("f_max_mhz", r.f_max_mhz);
+    io.field("latency_cycles", r.latency_cycles);
+    io.field("register_count", r.register_count);
+    io.field("synthesis_cpu_seconds", r.synthesis_cpu_seconds);
+    io.field("fits", r.fits);
+}
+
+template <class Record>
+std::string write_record(const Record& record) {
+    Record_writer writer;
+    // The field lists take mutable references so the reader can fill them;
+    // the writer only reads through them.
+    fields(writer, const_cast<Record&>(record));
+    return writer.finish();
+}
+
+template <class Record>
+bool read_record(const std::string& text, Record* record, std::string* error) {
+    Record_reader reader(text);
+    Record out;
+    fields(reader, out);
+    if (!reader.finish(error)) return false;
+    *record = std::move(out);
     return true;
-}
-
-// --- Streaming_evaluation block ---------------------------------------------------
-
-void write_streaming(std::ostringstream& os, const Streaming_evaluation& e) {
-    os << "stream.config " << e.config.depth << " " << e.config.vector_width << " "
-       << e.config.pe_count << " " << e.config.channels << "\n";
-    os << "stream.feasible " << (e.feasible ? 1 : 0) << "\n";
-    os << "stream.reason";
-    if (!e.infeasible_reason.empty()) os << " " << e.infeasible_reason;
-    os << "\n";
-    os << "stream.area_luts " << encode_double_bits(e.area_luts) << "\n";
-    os << "stream.datapath_luts " << encode_double_bits(e.datapath_luts) << "\n";
-    os << "stream.line_buffer_luts " << encode_double_bits(e.line_buffer_luts)
-       << "\n";
-    os << "stream.line_buffer_kbits " << encode_double_bits(e.line_buffer_kbits)
-       << "\n";
-    os << "stream.f_max_mhz " << encode_double_bits(e.f_max_mhz) << "\n";
-    os << "stream.passes " << e.passes << "\n";
-    os << "stream.compute_cycles " << encode_double_bits(e.compute_cycles) << "\n";
-    os << "stream.memory_cycles " << encode_double_bits(e.memory_cycles) << "\n";
-    os << "stream.cycles_per_pass " << encode_double_bits(e.cycles_per_pass)
-       << "\n";
-    os << "stream.bottleneck";
-    if (!e.bottleneck.empty()) os << " " << e.bottleneck;
-    os << "\n";
-    os << "stream.seconds_per_frame " << encode_double_bits(e.seconds_per_frame)
-       << "\n";
-    os << "stream.fps " << encode_double_bits(e.fps) << "\n";
-}
-
-bool read_streaming(Line_reader& r, Streaming_evaluation* e) {
-    std::string rest;
-    if (!r.expect("stream.config", &rest)) return false;
-    {
-        const std::vector<std::string> parts = split(rest, ' ');
-        long long depth = 0;
-        long long vector_width = 0;
-        long long pe_count = 0;
-        long long channels = 0;
-        if (parts.size() != 4 || !parse_ll_strict(parts[0], &depth) ||
-            !parse_ll_strict(parts[1], &vector_width) ||
-            !parse_ll_strict(parts[2], &pe_count) ||
-            !parse_ll_strict(parts[3], &channels)) {
-            r.fail_value("stream.config");
-            return false;
-        }
-        e->config.depth = static_cast<int>(depth);
-        e->config.vector_width = static_cast<int>(vector_width);
-        e->config.pe_count = static_cast<int>(pe_count);
-        e->config.channels = static_cast<int>(channels);
-    }
-    return read_bool(r, "stream.feasible", &e->feasible) &&
-           read_text(r, "stream.reason", &e->infeasible_reason) &&
-           read_double(r, "stream.area_luts", &e->area_luts) &&
-           read_double(r, "stream.datapath_luts", &e->datapath_luts) &&
-           read_double(r, "stream.line_buffer_luts", &e->line_buffer_luts) &&
-           read_double(r, "stream.line_buffer_kbits", &e->line_buffer_kbits) &&
-           read_double(r, "stream.f_max_mhz", &e->f_max_mhz) &&
-           read_int(r, "stream.passes", &e->passes) &&
-           read_double(r, "stream.compute_cycles", &e->compute_cycles) &&
-           read_double(r, "stream.memory_cycles", &e->memory_cycles) &&
-           read_double(r, "stream.cycles_per_pass", &e->cycles_per_pass) &&
-           read_text(r, "stream.bottleneck", &e->bottleneck) &&
-           read_double(r, "stream.seconds_per_frame", &e->seconds_per_frame) &&
-           read_double(r, "stream.fps", &e->fps);
 }
 
 }  // namespace
 
-// --- Sweep_entry ------------------------------------------------------------------
-
-std::string serialize_record(const Sweep_entry& entry) {
-    std::ostringstream os;
-    os << "sweep-entry v3\n";
-    os << "kernel " << entry.kernel << "\n";
-    os << "device " << entry.device << "\n";
-    os << "iterations " << entry.iterations << "\n";
-    os << "backend " << entry.backend << "\n";
-    os << "fits " << (entry.fits ? 1 : 0) << "\n";
-    if (entry.fits) {
-        if (entry.backend == "streaming") {
-            write_streaming(os, entry.streaming_best);
-        } else {
-            write_evaluation(os, entry.best);
-        }
-    }
-    os << "pareto_points " << entry.pareto_points << "\n";
-    os << "pareto_front " << entry.pareto_front_size << "\n";
-    os << "front_points " << entry.front_points.size() << "\n";
-    for (const Front_point& fp : entry.front_points) {
-        // Config last: it may contain spaces (architecture renderings do)
-        // but never newlines, so everything after the third token is it.
-        os << "fp " << encode_double_bits(fp.area_luts) << " "
-           << encode_double_bits(fp.seconds_per_frame) << " "
-           << encode_double_bits(fp.fps) << " " << fp.config << "\n";
-    }
-    os << "validated " << (entry.validated ? 1 : 0) << "\n";
-    os << "validation_max_abs_err " << encode_double_bits(entry.validation_max_abs_err)
-       << "\n";
-    os << "format_searched " << (entry.format_searched ? 1 : 0) << "\n";
-    os << "format_satisfiable " << (entry.format_satisfiable ? 1 : 0) << "\n";
-    os << "format_exact " << (entry.format_exact ? 1 : 0) << "\n";
-    os << "format " << entry.fixed_format.integer_bits << " "
-       << entry.fixed_format.frac_bits << "\n";
-    os << "format_psnr_db " << encode_double_bits(entry.format_psnr_db) << "\n";
-    os << "searched_area_luts " << encode_double_bits(entry.searched_area_luts)
-       << "\n";
-    os << "searched_fps " << encode_double_bits(entry.searched_fps) << "\n";
-    os << "searched_f_max_mhz " << encode_double_bits(entry.searched_f_max_mhz)
-       << "\n";
-    os << "validated_fixed " << (entry.validated_fixed ? 1 : 0) << "\n";
-    os << "validation_max_raw_err "
-       << encode_double_bits(entry.validation_max_raw_err) << "\n";
-    os << "end\n";
-    return os.str();
-}
-
+std::string serialize_record(const Sweep_entry& entry) { return write_record(entry); }
 bool parse_record(const std::string& text, Sweep_entry* entry, std::string* error) {
-    Line_reader r(text);
-    Sweep_entry out;
-    std::string rest;
-    bool ok = r.expect("sweep-entry", &rest) && rest == "v3";
-    if (!ok) {
-        if (!r.failed()) r.fail_value("sweep-entry version");
-        *error = r.error();
-        return false;
-    }
-    ok = read_text(r, "kernel", &out.kernel) && read_text(r, "device", &out.device) &&
-         read_int(r, "iterations", &out.iterations) &&
-         read_text(r, "backend", &out.backend) &&
-         read_bool(r, "fits", &out.fits);
-    if (ok && out.fits) {
-        ok = out.backend == "streaming" ? read_streaming(r, &out.streaming_best)
-                                        : read_evaluation(r, &out.best);
-    }
-    std::size_t front_count = 0;
-    ok = ok && read_size(r, "pareto_points", &out.pareto_points) &&
-         read_size(r, "pareto_front", &out.pareto_front_size) &&
-         read_size(r, "front_points", &front_count);
-    for (std::size_t i = 0; ok && i < front_count; ++i) {
-        if (!r.expect("fp", &rest)) {
-            ok = false;
-            break;
-        }
-        const std::vector<std::string> parts = split(rest, ' ');
-        Front_point fp;
-        if (parts.size() < 4 || !decode_double_bits(parts[0], &fp.area_luts) ||
-            !decode_double_bits(parts[1], &fp.seconds_per_frame) ||
-            !decode_double_bits(parts[2], &fp.fps)) {
-            r.fail_value("fp");
-            ok = false;
-            break;
-        }
-        fp.config = parts[3];
-        for (std::size_t p = 4; p < parts.size(); ++p) {
-            fp.config += ' ';
-            fp.config += parts[p];
-        }
-        out.front_points.push_back(std::move(fp));
-    }
-    ok = ok && read_bool(r, "validated", &out.validated) &&
-         read_double(r, "validation_max_abs_err", &out.validation_max_abs_err) &&
-         read_bool(r, "format_searched", &out.format_searched) &&
-         read_bool(r, "format_satisfiable", &out.format_satisfiable) &&
-         read_bool(r, "format_exact", &out.format_exact);
-    if (ok) {
-        if (!r.expect("format", &rest)) {
-            ok = false;
-        } else {
-            const std::vector<std::string> parts = split(rest, ' ');
-            long long integer_bits = 0;
-            long long frac_bits = 0;
-            if (parts.size() != 2 || !parse_ll_strict(parts[0], &integer_bits) ||
-                !parse_ll_strict(parts[1], &frac_bits)) {
-                r.fail_value("format");
-                ok = false;
-            } else {
-                out.fixed_format.integer_bits = static_cast<int>(integer_bits);
-                out.fixed_format.frac_bits = static_cast<int>(frac_bits);
-            }
-        }
-    }
-    ok = ok && read_double(r, "format_psnr_db", &out.format_psnr_db) &&
-         read_double(r, "searched_area_luts", &out.searched_area_luts) &&
-         read_double(r, "searched_fps", &out.searched_fps) &&
-         read_double(r, "searched_f_max_mhz", &out.searched_f_max_mhz) &&
-         read_bool(r, "validated_fixed", &out.validated_fixed) &&
-         read_double(r, "validation_max_raw_err", &out.validation_max_raw_err) &&
-         r.expect("end", &rest) && r.done();
-    if (!ok) {
-        *error = r.error();
-        return false;
-    }
-    *entry = std::move(out);
-    return true;
+    return read_record(text, entry, error);
 }
 
-// --- Format_grid ------------------------------------------------------------------
-
-std::string serialize_record(const Explorer::Format_grid& grid) {
-    std::ostringstream os;
-    os << "format-grid v3\n";
-    os << "backend " << grid.backend << "\n";
-    os << "cells " << grid.cells.size() << "\n";
-    for (const Explorer::Format_cell& cell : grid.cells) {
-        // Fourteen fixed fields per cell: the search result (with explicit
-        // exactness and the pre-shrink range floor) plus the per-format full
-        // evaluation of the cell's canonical design point (zeros when the
-        // cell was not evaluated).
-        os << "cell " << cell.window << " " << cell.depth << " "
-           << cell.result.format.integer_bits << " " << cell.result.format.frac_bits
-           << " " << encode_double_bits(cell.result.psnr_db) << " "
-           << (cell.result.exact ? 1 : 0) << " "
-           << encode_double_bits(cell.result.max_abs_value) << " "
-           << cell.result.range_integer_bits << " "
-           << cell.result.formats_tried << " " << (cell.result.satisfiable ? 1 : 0)
-           << " " << (cell.evaluated ? 1 : 0) << " "
-           << encode_double_bits(cell.area_luts) << " "
-           << encode_double_bits(cell.f_max_mhz) << " "
-           << encode_double_bits(cell.fps) << "\n";
-    }
-    os << "end\n";
-    return os.str();
+std::string serialize_record(const Format_grid& grid) { return write_record(grid); }
+bool parse_record(const std::string& text, Format_grid* grid, std::string* error) {
+    return read_record(text, grid, error);
 }
-
-bool parse_record(const std::string& text, Explorer::Format_grid* grid,
-                  std::string* error) {
-    Line_reader r(text);
-    Explorer::Format_grid out;
-    std::string rest;
-    if (!r.expect("format-grid", &rest) || rest != "v3") {
-        if (!r.failed()) r.fail_value("format-grid version");
-        *error = r.error();
-        return false;
-    }
-    if (!read_text(r, "backend", &out.backend)) {
-        *error = r.error();
-        return false;
-    }
-    std::size_t count = 0;
-    if (!read_size(r, "cells", &count)) {
-        *error = r.error();
-        return false;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!r.expect("cell", &rest)) {
-            *error = r.error();
-            return false;
-        }
-        const std::vector<std::string> parts = split(rest, ' ');
-        long long window = 0;
-        long long depth = 0;
-        long long integer_bits = 0;
-        long long frac_bits = 0;
-        long long range_integer_bits = 0;
-        long long tried = 0;
-        const auto is_flag = [](const std::string& s) {
-            return s == "0" || s == "1";
-        };
-        Explorer::Format_cell cell;
-        if (parts.size() != 14 || !parse_ll_strict(parts[0], &window) ||
-            !parse_ll_strict(parts[1], &depth) ||
-            !parse_ll_strict(parts[2], &integer_bits) ||
-            !parse_ll_strict(parts[3], &frac_bits) ||
-            !decode_double_bits(parts[4], &cell.result.psnr_db) ||
-            !is_flag(parts[5]) ||
-            !decode_double_bits(parts[6], &cell.result.max_abs_value) ||
-            !parse_ll_strict(parts[7], &range_integer_bits) ||
-            !parse_ll_strict(parts[8], &tried) || !is_flag(parts[9]) ||
-            !is_flag(parts[10]) ||
-            !decode_double_bits(parts[11], &cell.area_luts) ||
-            !decode_double_bits(parts[12], &cell.f_max_mhz) ||
-            !decode_double_bits(parts[13], &cell.fps)) {
-            r.fail_value("cell");
-            *error = r.error();
-            return false;
-        }
-        cell.window = static_cast<int>(window);
-        cell.depth = static_cast<int>(depth);
-        cell.result.format.integer_bits = static_cast<int>(integer_bits);
-        cell.result.format.frac_bits = static_cast<int>(frac_bits);
-        cell.result.exact = parts[5] == "1";
-        cell.result.range_integer_bits = static_cast<int>(range_integer_bits);
-        cell.result.formats_tried = static_cast<int>(tried);
-        cell.result.satisfiable = parts[9] == "1";
-        cell.evaluated = parts[10] == "1";
-        out.cells.push_back(cell);
-    }
-    if (!r.expect("end", &rest) || !r.done()) {
-        *error = r.error();
-        return false;
-    }
-    *grid = std::move(out);
-    return true;
-}
-
-// --- Synthesis_report -------------------------------------------------------------
 
 std::string serialize_record(const Synthesis_report& report) {
-    std::ostringstream os;
-    os << "synthesis-report v1\n";
-    os << "design";
-    if (!report.design_name.empty()) os << " " << report.design_name;
-    os << "\n";
-    os << "lut_count " << encode_double_bits(report.lut_count) << "\n";
-    os << "raw_lut_count " << encode_double_bits(report.raw_lut_count) << "\n";
-    os << "ff_count " << encode_double_bits(report.ff_count) << "\n";
-    os << "dsp_count " << report.dsp_count << "\n";
-    os << "bram_kbits " << encode_double_bits(report.bram_kbits) << "\n";
-    os << "f_max_mhz " << encode_double_bits(report.f_max_mhz) << "\n";
-    os << "latency_cycles " << report.latency_cycles << "\n";
-    os << "register_count " << report.register_count << "\n";
-    os << "synthesis_cpu_seconds "
-       << encode_double_bits(report.synthesis_cpu_seconds) << "\n";
-    os << "fits " << (report.fits ? 1 : 0) << "\n";
-    os << "end\n";
-    return os.str();
+    return write_record(report);
 }
-
 bool parse_record(const std::string& text, Synthesis_report* report,
                   std::string* error) {
-    Line_reader r(text);
-    Synthesis_report out;
-    std::string rest;
-    const bool ok =
-        r.expect("synthesis-report", &rest) && rest == "v1" &&
-        read_text(r, "design", &out.design_name) &&
-        read_double(r, "lut_count", &out.lut_count) &&
-        read_double(r, "raw_lut_count", &out.raw_lut_count) &&
-        read_double(r, "ff_count", &out.ff_count) &&
-        read_int(r, "dsp_count", &out.dsp_count) &&
-        read_double(r, "bram_kbits", &out.bram_kbits) &&
-        read_double(r, "f_max_mhz", &out.f_max_mhz) &&
-        read_int(r, "latency_cycles", &out.latency_cycles) &&
-        read_int(r, "register_count", &out.register_count) &&
-        read_double(r, "synthesis_cpu_seconds", &out.synthesis_cpu_seconds) &&
-        read_bool(r, "fits", &out.fits) && r.expect("end", &rest) && r.done();
-    if (!ok) {
-        if (!r.failed()) r.fail_value("synthesis-report version");
-        *error = r.error();
-        return false;
-    }
-    *report = std::move(out);
-    return true;
+    return read_record(text, report, error);
 }
 
 // --- cache keys -------------------------------------------------------------------
@@ -665,36 +447,59 @@ std::string kernel_ir_key(const std::string& kernel_name, Boundary boundary,
 
 namespace {
 
+// `name item item ...\n`
+template <class T>
+std::string list_line(const char* name, const std::vector<T>& items) {
+    std::string line = name;
+    for (const T& item : items) line += cat(" ", item);
+    return line + "\n";
+}
+
+// Key lines shared by the entry/request keys and the format-grid key.
+std::string frame_line(const Sweep_config& config) {
+    return cat("frame ", config.frame_width, "x", config.frame_height, "\n");
+}
+
+std::string throughput_line(const Throughput_params& t) {
+    return cat("throughput ", encode_double_bits(t.core_read_ports), " ",
+               encode_double_bits(t.global_read_ports), " ",
+               encode_double_bits(t.offchip_write_cost), " ",
+               encode_double_bits(t.class_switch_cycles), "\n");
+}
+
+// The validation content: frame size and scene seed.
+std::string validation_content(const Sweep_config& config) {
+    return cat(config.validation_frame_width, "x", config.validation_frame_height,
+               " seed ", config.validation_seed);
+}
+
+// Every result-affecting format-search option (the thread count is not).
+std::string search_options(const Format_search_options& s) {
+    return cat(encode_double_bits(s.target_psnr_db), " ",
+               encode_double_bits(s.peak_value), " ", s.sample_windows, " ",
+               s.max_total_bits, " ", s.seed, " shrink ",
+               s.shrink_integer_bits ? 1 : 0);
+}
+
 // Every option that can change a sweep result, shared by the entry and
 // request keys. Thread counts are deliberately absent: results are
 // byte-identical at any fan-out width, so a warm cache serves requests
 // regardless of how parallel the original run was.
 std::string config_key_options(const Sweep_config& config) {
     std::ostringstream os;
-    os << "frame " << config.frame_width << "x" << config.frame_height << "\n";
+    os << frame_line(config);
     os << "format " << config.format.integer_bits << "." << config.format.frac_bits
        << "\n";
     os << "space " << config.space.max_window << " " << config.space.max_depth
        << " " << config.space.max_cores_per_sweep << " "
        << encode_double_bits(config.space.pareto_area_cap_luts) << "\n";
-    os << "throughput " << encode_double_bits(config.throughput.core_read_ports)
-       << " " << encode_double_bits(config.throughput.global_read_ports) << " "
-       << encode_double_bits(config.throughput.offchip_write_cost) << " "
-       << encode_double_bits(config.throughput.class_switch_cycles) << "\n";
-    os << "calibration_windows";
-    for (int w : config.calibration_windows) os << " " << w;
-    os << "\n";
+    os << throughput_line(config.throughput);
+    os << list_line("calibration_windows", config.calibration_windows);
     os << "with_pareto " << (config.with_pareto ? 1 : 0) << "\n";
     os << "validate " << (config.validate ? 1 : 0) << " "
-       << config.validation_frame_width << "x" << config.validation_frame_height
-       << " seed " << config.validation_seed << "\n";
+       << validation_content(config) << "\n";
     os << "search_formats " << (config.search_formats ? 1 : 0) << " "
-       << encode_double_bits(config.format_search.target_psnr_db) << " "
-       << encode_double_bits(config.format_search.peak_value) << " "
-       << config.format_search.sample_windows << " "
-       << config.format_search.max_total_bits << " " << config.format_search.seed
-       << " shrink " << (config.format_search.shrink_integer_bits ? 1 : 0)
-       << "\n";
+       << search_options(config.format_search) << "\n";
     os << "validate_fixed " << (config.validate_fixed ? 1 : 0) << "\n";
     return os.str();
 }
@@ -720,23 +525,11 @@ std::string format_grid_key(const std::string& ir_key, const Sweep_config& confi
     os << "device " << device << "\n";
     os << "space " << config.space.max_window << " " << config.space.max_depth
        << "\n";
-    os << "content " << config.validation_frame_width << "x"
-       << config.validation_frame_height << " seed " << config.validation_seed
-       << "\n";
-    os << "search " << encode_double_bits(config.format_search.target_psnr_db)
-       << " " << encode_double_bits(config.format_search.peak_value) << " "
-       << config.format_search.sample_windows << " "
-       << config.format_search.max_total_bits << " " << config.format_search.seed
-       << " shrink " << (config.format_search.shrink_integer_bits ? 1 : 0)
-       << "\n";
-    os << "frame " << config.frame_width << "x" << config.frame_height << "\n";
-    os << "throughput " << encode_double_bits(config.throughput.core_read_ports)
-       << " " << encode_double_bits(config.throughput.global_read_ports) << " "
-       << encode_double_bits(config.throughput.offchip_write_cost) << " "
-       << encode_double_bits(config.throughput.class_switch_cycles) << "\n";
-    os << "calibration_windows";
-    for (int w : config.calibration_windows) os << " " << w;
-    os << "\n";
+    os << "content " << validation_content(config) << "\n";
+    os << "search " << search_options(config.format_search) << "\n";
+    os << frame_line(config);
+    os << throughput_line(config.throughput);
+    os << list_line("calibration_windows", config.calibration_windows);
     return os.str();
 }
 
@@ -745,18 +538,10 @@ std::string synthesis_key_prefix(const std::string& ir_key) {
 }
 
 std::string sweep_request_key(const Sweep_config& config) {
-    std::ostringstream os;
-    os << "sweep-request v3\n";
-    os << "kernels";
-    for (const std::string& k : config.kernels) os << " " << k;
-    os << "\ndevices";
-    for (const std::string& d : config.devices) os << " " << d;
-    os << "\niterations";
-    for (int n : config.iteration_counts) os << " " << n;
-    os << "\nbackends";
-    for (const std::string& b : config.backends) os << " " << b;
-    os << "\n" << config_key_options(config);
-    return os.str();
+    return cat("sweep-request v3\n", list_line("kernels", config.kernels),
+               list_line("devices", config.devices),
+               list_line("iterations", config.iteration_counts),
+               list_line("backends", config.backends), config_key_options(config));
 }
 
 }  // namespace islhls

@@ -3,13 +3,15 @@
 // The sweep service persists three payload types in the result cache:
 // per-combination Sweep_entry records, per-kernel format-search grids, and
 // individual virtual-synthesis reports. Each has an exact text serializer
-// and a strict parser: doubles travel as their 16-hex-digit IEEE-754 bit
-// pattern, so parse(serialize(x)) reproduces every field bit for bit and
-// serialize(parse(s)) == s — the round-trip identity the cache tests lock
-// down. Parsers validate the full line structure and report failure instead
-// of throwing, so a record that decodes structurally (cache checksum OK)
-// but not semantically (schema drift) degrades to a recompute, never an
-// abort.
+// and a strict parser, both driven by one field list per record type:
+// doubles travel as their 16-hex-digit IEEE-754 bit pattern and integers in
+// canonical decimal within the field's range, so parse(serialize(x))
+// reproduces every field bit for bit and serialize(parse(s)) == s — the
+// round-trip identity the cache tests lock down, next to golden bytes of
+// every record type. Parsers validate the full line structure and report
+// failure instead of throwing, so a record that decodes structurally (cache
+// checksum OK) but not semantically (schema drift) degrades to a recompute,
+// never an abort.
 //
 // Cache keys are content-addressed: every key starts from the kernel's IR
 // identity (state-field update expressions as s-exprs over the shared pool,
@@ -35,8 +37,8 @@ std::string serialize_record(const Sweep_entry& entry);
 bool parse_record(const std::string& text, Sweep_entry* entry,
                   std::string* error);
 
-std::string serialize_record(const Explorer::Format_grid& grid);
-bool parse_record(const std::string& text, Explorer::Format_grid* grid,
+std::string serialize_record(const Format_grid& grid);
+bool parse_record(const std::string& text, Format_grid* grid,
                   std::string* error);
 
 std::string serialize_record(const Synthesis_report& report);

@@ -47,7 +47,7 @@ void Explorer::run_parallel(std::size_t count,
     pool_->for_each_index(count, body);
 }
 
-islhls::Pareto_result Explorer::explore_pareto() {
+Pareto_result Explorer::explore_pareto() {
     // One-time alpha calibration, then every candidate evaluation is pure.
     paper_.calibrate();
 
@@ -55,7 +55,7 @@ islhls::Pareto_result Explorer::explore_pareto() {
     std::vector<std::vector<Arch_evaluation>> steps(count);
     run_parallel(count, [&](std::size_t i) { steps[i] = paper_.candidate_steps(i); });
 
-    islhls::Pareto_result result;
+    Pareto_result result;
     result.backend = paper_.name();
     for (const auto& candidate_steps : steps) {
         result.points.insert(result.points.end(), candidate_steps.begin(),
@@ -111,10 +111,10 @@ Backend_pareto Explorer::explore_backends(
     return merged;
 }
 
-islhls::Fit_result Explorer::fit_device() {
+Fit_result Explorer::fit_device() {
     paper_.calibrate();
 
-    islhls::Fit_result result;
+    Fit_result result;
     result.backend = paper_.name();
     const double budget =
         static_cast<double>(evaluator_.device().usable_luts());
@@ -150,10 +150,10 @@ islhls::Fit_result Explorer::fit_device() {
     return result;
 }
 
-islhls::Area_validation Explorer::validate_area_model() {
+Area_validation Explorer::validate_area_model() {
     paper_.calibrate();
 
-    islhls::Area_validation validation;
+    Area_validation validation;
     validation.backend = paper_.name();
     const auto& calibration = evaluator_.options().calibration_windows;
     const std::size_t cells =
@@ -186,9 +186,8 @@ islhls::Area_validation Explorer::validate_area_model() {
     return validation;
 }
 
-islhls::Format_grid Explorer::search_formats(const Frame_set& content,
-                                             Boundary boundary,
-                                             Format_search_options options) {
+Format_grid Explorer::search_formats(const Frame_set& content, Boundary boundary,
+                                     Format_search_options options) {
     // One search per cell inside the candidate fan-out; the search's own
     // sample-window pool stays disabled (its parallelism would nest).
     options.threads = 1;
@@ -206,7 +205,7 @@ islhls::Format_grid Explorer::search_formats(const Frame_set& content,
         for (int w : evaluator_.options().calibration_windows) library.cone(w, d);
     }
 
-    islhls::Format_grid grid;
+    Format_grid grid;
     grid.backend = paper_.name();
     const std::size_t cells = static_cast<std::size_t>(space_.max_window) *
                               static_cast<std::size_t>(space_.max_depth);

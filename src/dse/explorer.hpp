@@ -51,19 +51,8 @@ public:
     // depth 3 over N=10 becomes [3,3,3,1], depth 4 becomes [4,4,2]).
     std::vector<int> canonical_partition(int primary_depth) const;
 
-    // Deprecated aliases: the result structs moved to dse/results.hpp as
-    // top-level types (they now carry a `backend` field); these names are
-    // kept one PR so existing call sites migrate cleanly.
-    using Pareto_result = islhls::Pareto_result;
-    using Fit_cell = islhls::Fit_cell;
-    using Fit_result = islhls::Fit_result;
-    using Area_point = islhls::Area_point;
-    using Area_validation = islhls::Area_validation;
-    using Format_cell = islhls::Format_cell;
-    using Format_grid = islhls::Format_grid;
-
     // --- Pareto exploration (paper backend) --------------------------------------
-    islhls::Pareto_result explore_pareto();
+    Pareto_result explore_pareto();
 
     // --- cross-backend Pareto exploration ----------------------------------------
     // Calibrates every backend serially, then fans the union of their
@@ -73,10 +62,10 @@ public:
     Backend_pareto explore_backends(const std::vector<Arch_backend*>& backends);
 
     // --- device fit --------------------------------------------------------------
-    islhls::Fit_result fit_device();
+    Fit_result fit_device();
 
     // --- area-model validation ---------------------------------------------------
-    islhls::Area_validation validate_area_model();
+    Area_validation validate_area_model();
 
     // --- per-candidate fixed-point format search ---------------------------------
     // The numeric axis of the design space: the narrowest passing Qm.f per
@@ -89,8 +78,8 @@ public:
     // search itself runs serially (options.threads is overridden to 1 —
     // nested pools would oversubscribe) and each cell is seeded, so the
     // grid is bit-identical at any thread count.
-    islhls::Format_grid search_formats(const Frame_set& content, Boundary boundary,
-                                       Format_search_options options = {});
+    Format_grid search_formats(const Frame_set& content, Boundary boundary,
+                               Format_search_options options = {});
 
     Arch_evaluator& evaluator() { return evaluator_; }
     Paper_backend& paper_backend() { return paper_; }

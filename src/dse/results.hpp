@@ -3,9 +3,7 @@
 // These used to be nested inside Explorer; they moved here when the DSE grew
 // multiple architecture backends (dse/backend.hpp), so results can carry the
 // backend that produced them and flow through caches, reports and merged
-// Pareto fronts without dragging the Explorer type along. Explorer keeps
-// deprecated aliases (Explorer::Pareto_result etc.) for one PR so existing
-// call sites migrate gradually.
+// Pareto fronts without dragging the Explorer type along.
 #pragma once
 
 #include <cstddef>

@@ -71,7 +71,7 @@ std::vector<std::string> record_files(const std::string& dir) {
 // The reference table every faulted run must reproduce byte for byte.
 std::string reference_table() {
     static const std::string table =
-        report_table(Sweep_session(small_config()).run());
+        report_table(Sweep_service{}.run(small_config()));
     return table;
 }
 

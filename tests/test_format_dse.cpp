@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "core/service.hpp"
 #include "core/sweep.hpp"
 #include "support/error.hpp"
 #include "dse/explorer.hpp"
@@ -33,7 +34,7 @@ TEST(Format_dse, explorer_grid_matches_standalone_search_and_is_thread_invariant
     options.target_psnr_db = 45.0;
 
     Explorer explorer(library, device, evaluator_options, space);
-    const Explorer::Format_grid grid =
+    const Format_grid grid =
         explorer.search_formats(content, kernel.boundary, options);
     ASSERT_EQ(grid.cells.size(), 6u);
 
@@ -41,7 +42,7 @@ TEST(Format_dse, explorer_grid_matches_standalone_search_and_is_thread_invariant
     // fan-out, never different numerics).
     Format_search_options serial = options;
     serial.threads = 1;
-    for (const Explorer::Format_cell& cell : grid.cells) {
+    for (const Format_cell& cell : grid.cells) {
         SCOPED_TRACE(cat("w", cell.window, " d", cell.depth));
         const Format_search_result direct = search_fixed_format(
             library.cone(cell.window, cell.depth), content, kernel.boundary, serial);
@@ -53,7 +54,7 @@ TEST(Format_dse, explorer_grid_matches_standalone_search_and_is_thread_invariant
         // Deeper cones grow the dynamic range, never shrink it: at fixed
         // window, depth-2 needs at least depth-1's integer bits.
         if (cell.depth == 2) {
-            const Explorer::Format_cell& shallower =
+            const Format_cell& shallower =
                 grid.at(cell.window, 1, space.max_depth);
             EXPECT_GE(cell.result.format.integer_bits,
                       shallower.result.format.integer_bits);
@@ -155,8 +156,8 @@ TEST(Format_dse, sweep_reports_per_architecture_formats_and_exact_fixed_golden) 
     config.space.max_depth = 2;
     config.search_formats = true;
     config.validate_fixed = true;
-    Sweep_session session(config);
-    const Sweep_report report = session.run();
+    Sweep_service service;
+    const Sweep_report report = service.run(config);
     ASSERT_EQ(report.entries.size(), 4u);
 
     for (const Sweep_entry& e : report.entries) {
@@ -177,7 +178,7 @@ TEST(Format_dse, sweep_reports_per_architecture_formats_and_exact_fixed_golden) 
         priced.frame_height = config.frame_height;
         priced.format = e.fixed_format;
         priced.synth.format = e.fixed_format;
-        const Arch_evaluator pricer(session.library(e.kernel),
+        const Arch_evaluator pricer(service.library(e.kernel),
                                     device_by_name(e.device), priced);
         const Arch_evaluation repriced = pricer.evaluate(e.best.instance);
         EXPECT_EQ(e.searched_area_luts, repriced.estimated_area_luts);
@@ -209,7 +210,7 @@ TEST(Format_dse, sweep_reports_per_architecture_formats_and_exact_fixed_golden) 
 
 TEST(Format_dse, fixed_validation_rejects_formats_beyond_double_exactness) {
     // Raw words above 53 bits are not exactly representable in double, so
-    // the raw-word comparison would report phantom LSB errors; the session
+    // the raw-word comparison would report phantom LSB errors; the service
     // must refuse such configs up front instead.
     Sweep_config config;
     config.kernels = {"heat"};
@@ -217,13 +218,13 @@ TEST(Format_dse, fixed_validation_rejects_formats_beyond_double_exactness) {
     config.iteration_counts = {2};
     config.validate_fixed = true;
     config.format = Fixed_format{30, 28};  // 58 bits
-    EXPECT_THROW(Sweep_session{config}, Error);
+    EXPECT_THROW(Sweep_service{}.run(config), Error);
     config.format = Fixed_format{10, 6};
     config.search_formats = true;
     config.format_search.max_total_bits = 60;
-    EXPECT_THROW(Sweep_session{config}, Error);
+    EXPECT_THROW(Sweep_service{}.run(config), Error);
     config.format_search.max_total_bits = 32;
-    EXPECT_NO_THROW(Sweep_session{config});
+    EXPECT_NO_THROW(validate_config(config));
 }
 
 TEST(Format_dse, plain_sweep_report_keeps_the_classic_columns) {
@@ -233,8 +234,7 @@ TEST(Format_dse, plain_sweep_report_keeps_the_classic_columns) {
     config.iteration_counts = {2};
     config.space.max_window = 3;
     config.space.max_depth = 2;
-    Sweep_session session(config);
-    const std::string text = to_string(session.run());
+    const std::string text = to_string(Sweep_service{}.run(config));
     EXPECT_EQ(text.find("kLUTs@fmt"), std::string::npos);
     EXPECT_EQ(text.find("golden(fx)"), std::string::npos);
 }

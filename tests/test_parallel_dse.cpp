@@ -1,5 +1,5 @@
 // Parallel exploration engine: byte-identical determinism across thread
-// counts, concurrent cone-library access, and the batch sweep session.
+// counts, concurrent cone-library access, and the batch sweep service.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/service.hpp"
 #include "core/sweep.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/kernels.hpp"
@@ -160,7 +161,7 @@ TEST(Parallel_dse, fresh_synthesis_is_counted_before_it_is_stored) {
     EXPECT_EQ(library.synthesis_runs(), 2);
 }
 
-TEST(Parallel_dse, sweep_session_matches_standalone_explorers) {
+TEST(Parallel_dse, sweep_service_matches_standalone_explorers) {
     Sweep_config config;
     config.kernels = {"jacobi", "igf"};
     config.devices = {"generic_small", "xc6vlx760"};
@@ -169,8 +170,7 @@ TEST(Parallel_dse, sweep_session_matches_standalone_explorers) {
     config.frame_height = 240;
     config.space = small_space(2);
 
-    Sweep_session session(config);
-    const Sweep_report report = session.run();
+    const Sweep_report report = Sweep_service{}.run(config);
     ASSERT_EQ(report.entries.size(), 8u);
 
     // Entries come back kernel-major, then device, then N.
@@ -192,7 +192,7 @@ TEST(Parallel_dse, sweep_session_matches_standalone_explorers) {
         space.iterations = entry.iterations;
         Explorer explorer(library, device_by_name(entry.device),
                           evaluator_options, space);
-        const Explorer::Fit_result fit = explorer.fit_device();
+        const Fit_result fit = explorer.fit_device();
         ASSERT_EQ(entry.fits, fit.has_best);
         if (entry.fits) {
             EXPECT_EQ(dump(entry.best), dump(fit.best));
@@ -220,12 +220,10 @@ TEST(Parallel_dse, sweep_validation_is_exact_and_changes_nothing_else) {
     config.validation_frame_width = 20;
     config.validation_frame_height = 14;
 
-    Sweep_session plain_session(config);
-    const Sweep_report plain = plain_session.run();
+    const Sweep_report plain = Sweep_service{}.run(config);
 
     config.validate = true;
-    Sweep_session validated_session(config);
-    const Sweep_report validated = validated_session.run();
+    const Sweep_report validated = Sweep_service{}.run(config);
 
     ASSERT_EQ(plain.entries.size(), validated.entries.size());
     for (std::size_t i = 0; i < plain.entries.size(); ++i) {
@@ -252,7 +250,7 @@ TEST(Parallel_dse, sweep_validation_is_exact_and_changes_nothing_else) {
 TEST(Parallel_dse, explorer_shared_pool_results_are_byte_identical) {
     // An explorer on an injected pool must produce the dumps of a serial
     // explorer; the same pool serves several explorers in sequence (the
-    // sweep session's usage pattern).
+    // sweep service's usage pattern).
     const Kernel_def& kernel = kernel_by_name("igf");
     Thread_pool pool(4);
     for (const std::string device : {"generic_small", "xc6vlx760"}) {
@@ -270,11 +268,11 @@ TEST(Parallel_dse, explorer_shared_pool_results_are_byte_identical) {
 
 TEST(Parallel_dse, sweep_rejects_bad_config) {
     Sweep_config config;
-    EXPECT_THROW(Sweep_session{config}, Error);
+    EXPECT_THROW(Sweep_service{}.run(config), Error);
     config.kernels = {"jacobi"};
     config.devices = {"generic_small"};
     config.iteration_counts = {4, 0};
-    EXPECT_THROW(Sweep_session{config}, Error);
+    EXPECT_THROW(Sweep_service{}.run(config), Error);
 }
 
 }  // namespace

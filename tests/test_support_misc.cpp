@@ -1,4 +1,4 @@
-// Table rendering, PRNG determinism and the logging threshold.
+// Table rendering, PRNG determinism and the cache-topology probe.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "support/cache_info.hpp"
 #include "support/error.hpp"
-#include "support/log.hpp"
 #include "support/prng.hpp"
 #include "support/table.hpp"
 
@@ -102,14 +101,6 @@ TEST(Prng, gaussian_moments) {
     }
     EXPECT_NEAR(sum / n, 0.0, 0.02);
     EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
-}
-
-TEST(Log, threshold_round_trip) {
-    const Log_level before = log_threshold();
-    set_log_threshold(Log_level::error);
-    EXPECT_EQ(log_threshold(), Log_level::error);
-    log_debug("suppressed");  // must not crash; nothing asserted on output
-    set_log_threshold(before);
 }
 
 TEST(Cache_info, probe_is_sane_and_stable) {

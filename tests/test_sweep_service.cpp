@@ -95,6 +95,88 @@ Sweep_entry make_full_entry() {
     return entry;
 }
 
+Sweep_entry make_streaming_entry() {
+    Sweep_entry entry;
+    entry.kernel = "heat";
+    entry.device = "xc6vlx760";
+    entry.iterations = 8;
+    entry.backend = "streaming";
+    entry.fits = true;
+    entry.streaming_best.config = {2, 4, 2, 1};
+    entry.streaming_best.feasible = true;
+    entry.streaming_best.area_luts = 123456.75;
+    entry.streaming_best.datapath_luts = 100000.0;
+    entry.streaming_best.line_buffer_luts = 1.0 / 7.0;
+    entry.streaming_best.line_buffer_kbits = 36.5;
+    entry.streaming_best.f_max_mhz = 212.0390625;
+    entry.streaming_best.passes = 4;
+    entry.streaming_best.compute_cycles = 98304.0;
+    entry.streaming_best.memory_cycles = 24576.0;
+    entry.streaming_best.cycles_per_pass = 98304.0;
+    entry.streaming_best.bottleneck = "compute";
+    entry.streaming_best.seconds_per_frame = 0.00196;
+    entry.streaming_best.fps = 510.2040816326531;
+    entry.pareto_points = 12;
+    entry.pareto_front_size = 3;
+    entry.front_points.push_back({"stream(d=2,v=4,pe=2,ch=1)", 123456.75,
+                                  0.00196, 510.2040816326531});
+    return entry;
+}
+
+Sweep_entry make_unfit_entry() {
+    Sweep_entry entry;
+    entry.kernel = "k";
+    entry.device = "d";
+    entry.iterations = 1;
+    entry.fits = false;
+    return entry;
+}
+
+Format_grid make_format_grid() {
+    Format_grid grid;
+    for (int w = 1; w <= 2; ++w) {
+        for (int d = 1; d <= 2; ++d) {
+            Format_cell cell;
+            cell.window = w;
+            cell.depth = d;
+            cell.result.format.integer_bits = 8 + w;
+            cell.result.format.frac_bits = 4 + d;
+            cell.result.psnr_db = 50.0 + 1.0 / (w + d);
+            cell.result.exact = (w == 2 && d == 1);
+            cell.result.max_abs_value = 255.96875 * w;
+            cell.result.range_integer_bits = 9 + w;
+            cell.result.formats_tried = w * 10 + d;
+            cell.result.satisfiable = (w + d) % 2 == 0;
+            // Satisfiable cells carry the full evaluation of their canonical
+            // design point; the unsatisfiable ones stay unevaluated.
+            cell.evaluated = cell.result.satisfiable;
+            if (cell.evaluated) {
+                cell.area_luts = 1000.0 * w + 1.0 / d;
+                cell.f_max_mhz = 180.0 + 0.125 * d;
+                cell.fps = 30.0 * w / 7.0;
+            }
+            grid.cells.push_back(cell);
+        }
+    }
+    return grid;
+}
+
+Synthesis_report make_synthesis_report() {
+    Synthesis_report report;
+    report.design_name = "igf cone w3 d2";
+    report.lut_count = 1234.567;
+    report.raw_lut_count = 1300.0;
+    report.ff_count = 999.0;
+    report.dsp_count = 12;
+    report.bram_kbits = 36.125;
+    report.f_max_mhz = 201.5;
+    report.latency_cycles = 17;
+    report.register_count = 421;
+    report.synthesis_cpu_seconds = 3600.25;
+    report.fits = true;
+    return report;
+}
+
 TEST(Sweep_records, sweep_entry_round_trip_is_exact) {
     const Sweep_entry entry = make_full_entry();
     const std::string text = serialize_record(entry);
@@ -132,30 +214,7 @@ TEST(Sweep_records, sweep_entry_round_trip_is_exact) {
 }
 
 TEST(Sweep_records, streaming_entry_round_trip_is_exact) {
-    Sweep_entry entry;
-    entry.kernel = "heat";
-    entry.device = "xc6vlx760";
-    entry.iterations = 8;
-    entry.backend = "streaming";
-    entry.fits = true;
-    entry.streaming_best.config = {2, 4, 2, 1};
-    entry.streaming_best.feasible = true;
-    entry.streaming_best.area_luts = 123456.75;
-    entry.streaming_best.datapath_luts = 100000.0;
-    entry.streaming_best.line_buffer_luts = 1.0 / 7.0;
-    entry.streaming_best.line_buffer_kbits = 36.5;
-    entry.streaming_best.f_max_mhz = 212.0390625;
-    entry.streaming_best.passes = 4;
-    entry.streaming_best.compute_cycles = 98304.0;
-    entry.streaming_best.memory_cycles = 24576.0;
-    entry.streaming_best.cycles_per_pass = 98304.0;
-    entry.streaming_best.bottleneck = "compute";
-    entry.streaming_best.seconds_per_frame = 0.00196;
-    entry.streaming_best.fps = 510.2040816326531;
-    entry.pareto_points = 12;
-    entry.pareto_front_size = 3;
-    entry.front_points.push_back({"stream(d=2,v=4,pe=2,ch=1)", 123456.75,
-                                  0.00196, 510.2040816326531});
+    const Sweep_entry entry = make_streaming_entry();
     const std::string text = serialize_record(entry);
     // A streaming entry carries the stream block, not the paper eval block.
     EXPECT_NE(text.find("stream."), std::string::npos);
@@ -185,11 +244,7 @@ TEST(Sweep_records, nan_survives_the_round_trip) {
 }
 
 TEST(Sweep_records, unfit_entry_skips_the_evaluation_block) {
-    Sweep_entry entry;
-    entry.kernel = "k";
-    entry.device = "d";
-    entry.iterations = 1;
-    entry.fits = false;
+    const Sweep_entry entry = make_unfit_entry();
     const std::string text = serialize_record(entry);
     EXPECT_EQ(text.find("eval."), std::string::npos);
     Sweep_entry parsed;
@@ -200,33 +255,9 @@ TEST(Sweep_records, unfit_entry_skips_the_evaluation_block) {
 }
 
 TEST(Sweep_records, format_grid_round_trip_is_exact) {
-    Explorer::Format_grid grid;
-    for (int w = 1; w <= 2; ++w) {
-        for (int d = 1; d <= 2; ++d) {
-            Explorer::Format_cell cell;
-            cell.window = w;
-            cell.depth = d;
-            cell.result.format.integer_bits = 8 + w;
-            cell.result.format.frac_bits = 4 + d;
-            cell.result.psnr_db = 50.0 + 1.0 / (w + d);
-            cell.result.exact = (w == 2 && d == 1);
-            cell.result.max_abs_value = 255.96875 * w;
-            cell.result.range_integer_bits = 9 + w;
-            cell.result.formats_tried = w * 10 + d;
-            cell.result.satisfiable = (w + d) % 2 == 0;
-            // Satisfiable cells carry the full evaluation of their canonical
-            // design point; the unsatisfiable ones stay unevaluated.
-            cell.evaluated = cell.result.satisfiable;
-            if (cell.evaluated) {
-                cell.area_luts = 1000.0 * w + 1.0 / d;
-                cell.f_max_mhz = 180.0 + 0.125 * d;
-                cell.fps = 30.0 * w / 7.0;
-            }
-            grid.cells.push_back(cell);
-        }
-    }
+    const Format_grid grid = make_format_grid();
     const std::string text = serialize_record(grid);
-    Explorer::Format_grid parsed;
+    Format_grid parsed;
     std::string error;
     ASSERT_TRUE(parse_record(text, &parsed, &error)) << error;
     EXPECT_EQ(serialize_record(parsed), text);
@@ -243,18 +274,7 @@ TEST(Sweep_records, format_grid_round_trip_is_exact) {
 }
 
 TEST(Sweep_records, synthesis_report_round_trip_is_exact) {
-    Synthesis_report report;
-    report.design_name = "igf cone w3 d2";
-    report.lut_count = 1234.567;
-    report.raw_lut_count = 1300.0;
-    report.ff_count = 999.0;
-    report.dsp_count = 12;
-    report.bram_kbits = 36.125;
-    report.f_max_mhz = 201.5;
-    report.latency_cycles = 17;
-    report.register_count = 421;
-    report.synthesis_cpu_seconds = 3600.25;
-    report.fits = true;
+    const Synthesis_report report = make_synthesis_report();
     const std::string text = serialize_record(report);
     Synthesis_report parsed;
     std::string error;
@@ -289,8 +309,62 @@ TEST(Sweep_records, strict_parsers_reject_mutations) {
     bad_double.replace(pos + 23, 4, "zzzz");
     EXPECT_FALSE(parse_record(bad_double, &parsed, &error));
     // Wrong record type entirely.
-    Explorer::Format_grid grid;
+    Format_grid grid;
     EXPECT_FALSE(parse_record(text, &grid, &error));
+    // Integers are canonical decimal within the field's range: anything that
+    // would not re-serialize to the same bytes is rejected, never narrowed.
+    const auto with_line = [](std::string record, const std::string& from,
+                              const std::string& to) {
+        const auto at = record.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return record.replace(at, from.size(), to);
+    };
+    for (const char* iterations :
+         {"+7", " 7", "07", "-0", "7 ", "4294967299", "4294967303", "-99999999999",
+          "9223372036854775808", ""}) {
+        EXPECT_FALSE(parse_record(
+            with_line(text, "\niterations 7\n", cat("\niterations ", iterations, "\n")),
+            &parsed, &error))
+            << "iterations '" << iterations << "'";
+    }
+    EXPECT_FALSE(parse_record(with_line(text, "\npareto_points 421\n",
+                                        "\npareto_points -1\n"),
+                              &parsed, &error));
+    EXPECT_FALSE(parse_record(with_line(text, "\neval.depths 2 2 2 1\n",
+                                        "\neval.depths 2 +2 2 1\n"),
+                              &parsed, &error));
+    EXPECT_FALSE(parse_record(with_line(text, "\neval.cores 1:3 2:5\n",
+                                        "\neval.cores 1:3 2:4294967301\n"),
+                              &parsed, &error));
+    for (const char* cores : {"1:3 2:5 ", "1:3  2:5", "1:3 1:5", "2:5 1:3", "1:3 2"}) {
+        EXPECT_FALSE(parse_record(
+            with_line(text, "\neval.cores 1:3 2:5\n", cat("\neval.cores ", cores, "\n")),
+            &parsed, &error))
+            << "eval.cores '" << cores << "'";
+    }
+    // The extreme in-range values still round-trip.
+    const std::string extreme =
+        with_line(text, "\niterations 7\n", "\niterations -2147483648\n");
+    EXPECT_TRUE(parse_record(extreme, &parsed, &error)) << error;
+    EXPECT_EQ(parsed.iterations, std::numeric_limits<int>::min());
+    EXPECT_EQ(serialize_record(parsed), extreme);
+
+    const std::string report_text = serialize_record(make_synthesis_report());
+    Synthesis_report report;
+    for (const char* dsp : {"-99999999999", "4294967308", "+12", " 12", "0x0c"}) {
+        EXPECT_FALSE(parse_record(
+            with_line(report_text, "\ndsp_count 12\n", cat("\ndsp_count ", dsp, "\n")),
+            &report, &error))
+            << "dsp_count '" << dsp << "'";
+    }
+    // Stray spaces and words the writer never emits.
+    EXPECT_FALSE(parse_record(with_line(report_text, "\ndesign igf cone w3 d2\n",
+                                        "\ndesign \n"),
+                              &report, &error));
+    EXPECT_FALSE(parse_record(with_line(report_text, "\nend\n", "\nend extra\n"),
+                              &report, &error));
+    EXPECT_FALSE(parse_record(with_line(text, "\nformat 11 9\n", "\nformat 11 9 \n"),
+                              &parsed, &error));
 }
 
 TEST(Sweep_records, double_bits_codec_is_exact_and_strict) {
@@ -307,6 +381,234 @@ TEST(Sweep_records, double_bits_codec_is_exact_and_strict) {
     EXPECT_FALSE(decode_double_bits("00000000000000000", &out));    // long
     EXPECT_FALSE(decode_double_bits("000000000000000G", &out));     // bad digit
     EXPECT_FALSE(decode_double_bits("3FF000000000000A", &out));     // upper case
+}
+
+// --- golden bytes -----------------------------------------------------------------
+// The record and key texts are the on-disk contract: a cache written by one
+// build must be served by the next. Round trips alone cannot see a field
+// renamed on both the writing and the reading side, so the exact bytes of
+// every fixture are pinned here as literals.
+
+const char* const kFullEntryRecord = R"(sweep-entry v3
+kernel igf
+device xc6vlx760
+iterations 7
+backend paper
+fits 1
+eval.window 3
+eval.depths 2 2 2 1
+eval.cores 1:3 2:5
+eval.feasible 1
+eval.reason
+eval.estimated_area_luts 3fd5555555555555
+eval.actual_area_luts 8000000000000000
+eval.f_max_mhz 406a814000000000
+eval.windows_per_frame 123456789012
+eval.tp.cycles_per_window 4031400000000000
+eval.tp.core_bound 7ff0000000000000
+eval.tp.onchip_bound 0000000000000001
+eval.tp.offchip_bound 3fb999999999999a
+eval.tp.bottleneck core compute
+eval.tp.seconds_per_frame 3f713404ea4a8c15
+eval.tp.fps 406dc30c30c30c2d
+eval.tp.class_cycles 1:4004000000000000 2:3fc2492492492492
+eval.mem.input 4029000000000000
+eval.mem.intermediate 0000000000000000
+eval.mem.output 4058c00000000000
+eval.mem.total 405be00000000000
+eval.mem.whole_frame 40b0000000000000
+eval.mem.saving 40425e22708092f1
+pareto_points 421
+pareto_front 17
+front_points 2
+fp 40c81cc000000000 3f713404ea4a8c15 406dc30a3d70a3d7 w=3 levels=[2 2 2 1] cores={1:3 2:5}
+fp 3fd5555555555555 8000000000000000 4008000000000000 w=5 levels=[7]
+validated 1
+validation_max_abs_err 0000000000000000
+format_searched 1
+format_satisfiable 1
+format_exact 1
+format 11 9
+format_psnr_db 4049840000000000
+searched_area_luts 40ea862000000000
+searched_fps 3fd2492492492492
+searched_f_max_mhz 4067730000000000
+validated_fixed 1
+validation_max_raw_err 3ff0000000000000
+end
+)";
+
+const char* const kStreamingEntryRecord = R"(sweep-entry v3
+kernel heat
+device xc6vlx760
+iterations 8
+backend streaming
+fits 1
+stream.config 2 4 2 1
+stream.feasible 1
+stream.reason
+stream.area_luts 40fe240c00000000
+stream.datapath_luts 40f86a0000000000
+stream.line_buffer_luts 3fc2492492492492
+stream.line_buffer_kbits 4042400000000000
+stream.f_max_mhz 406a814000000000
+stream.passes 4
+stream.compute_cycles 40f8000000000000
+stream.memory_cycles 40d8000000000000
+stream.cycles_per_pass 40f8000000000000
+stream.bottleneck compute
+stream.seconds_per_frame 3f600e6afcce1c58
+stream.fps 407fe343eb1a1f59
+pareto_points 12
+pareto_front 3
+front_points 1
+fp 40fe240c00000000 3f600e6afcce1c58 407fe343eb1a1f59 stream(d=2,v=4,pe=2,ch=1)
+validated 0
+validation_max_abs_err 0000000000000000
+format_searched 0
+format_satisfiable 0
+format_exact 0
+format 10 6
+format_psnr_db 0000000000000000
+searched_area_luts 0000000000000000
+searched_fps 0000000000000000
+searched_f_max_mhz 0000000000000000
+validated_fixed 0
+validation_max_raw_err 0000000000000000
+end
+)";
+
+const char* const kUnfitEntryRecord = R"(sweep-entry v3
+kernel k
+device d
+iterations 1
+backend paper
+fits 0
+pareto_points 0
+pareto_front 0
+front_points 0
+validated 0
+validation_max_abs_err 0000000000000000
+format_searched 0
+format_satisfiable 0
+format_exact 0
+format 10 6
+format_psnr_db 0000000000000000
+searched_area_luts 0000000000000000
+searched_fps 0000000000000000
+searched_f_max_mhz 0000000000000000
+validated_fixed 0
+validation_max_raw_err 0000000000000000
+end
+)";
+
+const char* const kFormatGridRecord = R"(format-grid v3
+backend paper
+cells 4
+cell 1 1 9 5 4049400000000000 0 406fff0000000000 10 11 1 1 408f480000000000 4066840000000000 4011249249249249
+cell 1 2 9 6 40492aaaaaaaaaab 0 406fff0000000000 10 12 0 0 0000000000000000 0000000000000000 0000000000000000
+cell 2 1 10 5 40492aaaaaaaaaab 1 407fff0000000000 11 21 0 0 0000000000000000 0000000000000000 0000000000000000
+cell 2 2 10 6 4049200000000000 0 407fff0000000000 11 22 1 1 409f420000000000 4066880000000000 4021249249249249
+end
+)";
+
+const char* const kSynthesisReportRecord = R"(synthesis-report v1
+design igf cone w3 d2
+lut_count 40934a449ba5e354
+raw_lut_count 4094500000000000
+ff_count 408f380000000000
+dsp_count 12
+bram_kbits 4042100000000000
+f_max_mhz 4069300000000000
+latency_cycles 17
+register_count 421
+synthesis_cpu_seconds 40ac208000000000
+fits 1
+end
+)";
+
+const char* const kEntryKey = R"(sweep-entry-key v3
+kernel igf
+boundary clamp
+device xc6vlx760
+iterations 2
+backend paper
+frame 64x48
+format 10.6
+space 3 2 16 4156e36000000000
+throughput 4020000000000000 4040000000000000 3ff0000000000000 405e000000000000
+calibration_windows 1 2
+with_pareto 0
+validate 1 48x36 seed 17
+search_formats 1 4046800000000000 406fe00000000000 32 32 99 shrink 1
+validate_fixed 0
+)";
+
+const char* const kFormatGridKey = R"(format-grid-key v3
+kernel igf
+boundary clamp
+device xc6vlx760
+space 3 2
+content 48x36 seed 17
+search 4046800000000000 406fe00000000000 32 32 99 shrink 1
+frame 64x48
+throughput 4020000000000000 4040000000000000 3ff0000000000000 405e000000000000
+calibration_windows 1 2
+)";
+
+const char* const kRequestKey = R"(sweep-request v3
+kernels igf
+devices xc6vlx760
+iterations 2
+backends paper
+frame 64x48
+format 10.6
+space 3 2 16 4156e36000000000
+throughput 4020000000000000 4040000000000000 3ff0000000000000 405e000000000000
+calibration_windows 1 2
+with_pareto 0
+validate 1 48x36 seed 17
+search_formats 1 4046800000000000 406fe00000000000 32 32 99 shrink 1
+validate_fixed 0
+)";
+
+const char* const kSynthesisKeyPrefix = R"(synthesis-key v1
+kernel igf
+boundary clamp
+)";
+
+TEST(Sweep_records, records_and_keys_match_golden_bytes) {
+    EXPECT_EQ(serialize_record(make_full_entry()), kFullEntryRecord);
+    EXPECT_EQ(serialize_record(make_streaming_entry()), kStreamingEntryRecord);
+    EXPECT_EQ(serialize_record(make_unfit_entry()), kUnfitEntryRecord);
+    EXPECT_EQ(serialize_record(make_format_grid()), kFormatGridRecord);
+    EXPECT_EQ(serialize_record(make_synthesis_report()), kSynthesisReportRecord);
+
+    const Sweep_config config = small_config();
+    const std::string ir = "kernel igf\nboundary clamp\n";
+    EXPECT_EQ(sweep_entry_key(ir, config, "xc6vlx760", 2, "paper"), kEntryKey);
+    EXPECT_EQ(format_grid_key(ir, config, "xc6vlx760"), kFormatGridKey);
+    EXPECT_EQ(sweep_request_key(config), kRequestKey);
+    EXPECT_EQ(synthesis_key_prefix(ir), kSynthesisKeyPrefix);
+
+    // Empty tails: a line whose only value is an empty text or list is the
+    // bare field name; an empty config still follows the fp row's doubles
+    // after one space.
+    Sweep_entry sparse = make_full_entry();
+    sparse.best.instance.level_depths.clear();
+    sparse.best.instance.cores_per_depth.clear();
+    sparse.best.throughput.bottleneck.clear();
+    sparse.best.throughput.class_cycles.clear();
+    sparse.front_points = {{"", 1.0, 2.0, 3.0}};
+    const std::string text = serialize_record(sparse);
+    EXPECT_NE(text.find("\neval.depths\neval.cores\n"), std::string::npos);
+    EXPECT_NE(text.find("\neval.tp.bottleneck\n"), std::string::npos);
+    EXPECT_NE(text.find("\neval.tp.class_cycles\n"), std::string::npos);
+    EXPECT_NE(text.find("\nfp 3ff0000000000000 4000000000000000 4008000000000000 \n"),
+              std::string::npos);
+    Synthesis_report unnamed = make_synthesis_report();
+    unnamed.design_name.clear();
+    EXPECT_EQ(serialize_record(unnamed).substr(0, 27), "synthesis-report v1\ndesign\n");
 }
 
 // --- cache keys -------------------------------------------------------------------
@@ -360,8 +662,8 @@ TEST(Sweep_service, warm_cache_is_byte_identical_and_runs_nothing) {
     const std::string dir = fresh_dir("warm");
     const Sweep_config config = small_config();
 
-    // Reference: a plain uncached session.
-    const Sweep_report reference = Sweep_session(config).run();
+    // Reference: a plain uncached service.
+    const Sweep_report reference = Sweep_service{}.run(config);
 
     Service_options options;
     options.cache_dir = dir;
@@ -478,11 +780,11 @@ TEST(Sweep_service, batch_dedups_and_isolates_failures) {
     EXPECT_NE(outcomes[3].message.find(">= 1"), std::string::npos);
 }
 
-TEST(Sweep_service, session_wrapper_still_validates_at_construction) {
+TEST(Sweep_service, run_validates_the_config_first) {
     Sweep_config config;  // empty: no kernels
-    EXPECT_THROW(Sweep_session{config}, Error);
+    EXPECT_THROW(Sweep_service{}.run(config), Error);
     try {
-        Sweep_session session{config};
+        Sweep_service{}.run(config);
         FAIL();
     } catch (const Islhls_error& e) {
         EXPECT_EQ(e.kind(), Error_kind::user);

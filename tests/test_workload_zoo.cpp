@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "backend/fixed_point.hpp"
+#include "core/service.hpp"
 #include "core/sweep.hpp"
 #include "estimate/format_search.hpp"
 #include "grid/frame_ops.hpp"
@@ -195,8 +196,7 @@ TEST(Workload_zoo, sweep_validates_exactly_across_backends) {
     config.validate = true;
     config.search_formats = true;
     config.validate_fixed = true;
-    Sweep_session session(config);
-    const Sweep_report report = session.run();
+    const Sweep_report report = Sweep_service{}.run(config);
     ASSERT_EQ(report.entries.size(), zoo_kernels().size() * 2);
     for (const Sweep_entry& entry : report.entries) {
         SCOPED_TRACE(cat(entry.kernel, " via ", entry.backend));
