@@ -7,7 +7,8 @@
 // register file allocated per call, one branchy dispatch per instruction.
 // The batched path lowers the tape once per format (Fixed_tape) and
 // advances kLane samples per tape operation out of reusable scratch
-// (Fixed_exec::run_raw_batch).
+// (Fixed_exec::run_raw_batch), over one liveness-compacted lane layout
+// (compact_lanes) shared by every format, exactly as the search runs it.
 //
 // This bench measures the like-for-like PSNR evaluation of a fixed list of
 // candidate formats over the same sample set both ways, and checks the
@@ -139,12 +140,12 @@ double mse_interpreter(const Register_program& program, const Sample_set& set,
 
 // The batched evaluation: quantize the flat inputs, one tape pass over all
 // samples, MSE folded in the same order as the interpreter loop.
-double mse_batched(const Register_program& program, const Sample_set& set,
-                   const Fixed_format& fmt,
+double mse_batched(const Register_program& program, const Lane_tape& layout,
+                   const Sample_set& set, const Fixed_format& fmt,
                    std::vector<std::int64_t>& raw_inputs,
                    std::vector<std::int64_t>& raw_outputs,
                    Fixed_exec::Scratch& scratch) {
-    const Fixed_exec exec(program, fmt);
+    const Fixed_exec exec(program, layout, fmt);
     const Raw_quantizer quantize(fmt);
     for (std::size_t k = 0; k < set.flat_inputs.size(); ++k) {
         raw_inputs[k] = quantize(set.flat_inputs[k]);
@@ -207,10 +208,12 @@ int main(int argc, char** argv) {
     std::vector<std::int64_t> raw_inputs(set.flat_inputs.size());
     std::vector<std::int64_t> raw_outputs(kSamples * set.out_count);
     Fixed_exec::Scratch scratch;
+    // One lane layout serves every candidate format, as in the search.
+    const Lane_tape layout = compact_lanes(program.compiled());
     bool raw_identical = true;
     for (const Fixed_format& fmt :
          {formats.front(), formats[formats.size() / 2], formats.back()}) {
-        const Fixed_exec exec(program, fmt);
+        const Fixed_exec exec(program, layout, fmt);
         for (std::size_t k = 0; k < set.flat_inputs.size(); ++k) {
             raw_inputs[k] = to_raw(set.flat_inputs[k], fmt);
         }
@@ -235,8 +238,8 @@ int main(int argc, char** argv) {
     });
     const double batched_s = min_seconds(3, [&] {
         for (std::size_t f = 0; f < formats.size(); ++f) {
-            batched_mse[f] = mse_batched(program, set, formats[f], raw_inputs,
-                                         raw_outputs, scratch);
+            batched_mse[f] = mse_batched(program, layout, set, formats[f],
+                                         raw_inputs, raw_outputs, scratch);
         }
     });
     const bool mse_identical = interp_mse == batched_mse;

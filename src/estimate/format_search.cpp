@@ -1,10 +1,12 @@
 #include "estimate/format_search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 
 #include "sim/fixed_exec.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/prng.hpp"
@@ -26,39 +28,92 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
                            rng.next_int(0, std::max(0, content.height() - 1))});
     }
 
-    // Gather the per-origin inputs (flat, row-major samples x ports) and the
-    // double reference. One batched trace per origin (into a reused buffer)
-    // serves both the range analysis and the reference outputs — no second
-    // execution, no per-origin trace allocation.
+    // One lane layout for the whole search: the double pass below and every
+    // candidate format run the same liveness-compacted tape, so a lane block
+    // spans the program's live values rather than one slot per instruction.
+    const Compiled_program& tape = program.compiled();
+    const Lane_tape layout = compact_lanes(tape);
+    const std::vector<Tape_input>& ports = tape.inputs();
+    const std::vector<std::int32_t>& out_slots = tape.output_slots();
     const std::size_t samples = origins.size();
-    const std::size_t in_count = program.input_ports().size();
-    const std::size_t out_count = program.outputs().size();
+    const std::size_t in_count = ports.size();
+    const std::size_t out_count = out_slots.size();
+    const std::size_t lane = static_cast<std::size_t>(kTapeLane);
+
+    // Each port's frame, resolved once rather than per sample. Reads inside
+    // the frame index it directly; only border reads go through the
+    // boundary policy.
+    std::vector<const Frame*> port_frame(in_count);
+    for (std::size_t p = 0; p < in_count; ++p) {
+        port_frame[p] = &content.field(step.pool().field_name(ports[p].field));
+    }
+    auto sample = [boundary](const Frame& f, int x, int y) {
+        if (x >= 0 && x < f.width() && y >= 0 && y < f.height()) {
+            return f.data()[static_cast<std::size_t>(y) *
+                                static_cast<std::size_t>(f.width()) +
+                            static_cast<std::size_t>(x)];
+        }
+        return f.sample(x, y, boundary);
+    };
+
+    // The double reference: one pass of the layout per lane block gathers
+    // the flat inputs (row-major samples x ports) the candidates quantize,
+    // reads the reference outputs, and folds the dynamic range of every
+    // value the program computes — inputs, constants and each op's
+    // destination lanes as the op runs. The fold is an exact maximum of
+    // |v| with NaN ignored (std::max keeps its first argument against NaN),
+    // so the fold order cannot change the result.
     std::vector<double> flat_inputs(samples * in_count);
     std::vector<double> references(samples * out_count);
-    std::vector<double> inputs(in_count);
-    std::vector<double> trace;
-    double max_abs = 0.0;
-    for (std::size_t s = 0; s < samples; ++s) {
-        const auto [ox, oy] = origins[s];
+    std::vector<double> lanes(static_cast<std::size_t>(layout.slot_count) * lane);
+    auto lane_of = [&](std::int32_t tape_slot) {
+        return lanes.data() + static_cast<std::size_t>(layout.slot_of[tape_slot]) * lane;
+    };
+    std::array<double, kTapeLane> peak{};
+    auto fold = [&](const double* values, int n) {
+        for (int l = 0; l < n; ++l) peak[l] = std::max(peak[l], std::fabs(values[l]));
+    };
+    for (const Tape_constant& c : tape.constants()) {
+        double* dst = lane_of(c.slot);
+        std::fill(dst, dst + lane, c.value);
+        fold(dst, 1);
+    }
+    const Double_lane_fn kernel = double_lane_kernel();
+    for (std::size_t s0 = 0; s0 < samples; s0 += lane) {
+        const int n = static_cast<int>(std::min(lane, samples - s0));
         for (std::size_t p = 0; p < in_count; ++p) {
-            const auto& port = program.input_ports()[p];
-            const Frame& f = content.field(step.pool().field_name(port.field));
-            inputs[p] = f.sample(ox + port.dx, oy + port.dy, boundary);
+            const Tape_input& port = ports[p];
+            double* dst = lane_of(port.slot);
+            for (int l = 0; l < n; ++l) {
+                const auto [ox, oy] = origins[s0 + static_cast<std::size_t>(l)];
+                dst[l] = sample(*port_frame[p], ox + port.dx, oy + port.dy);
+                flat_inputs[(s0 + static_cast<std::size_t>(l)) * in_count + p] = dst[l];
+            }
+            fold(dst, n);
         }
-        // Range analysis over every intermediate register.
-        program.run_trace_into(inputs, trace);
-        for (double v : trace) {
-            max_abs = std::max(max_abs, std::fabs(v));
+        for (const Tape_op& op : layout.ops) {
+            kernel(op, lanes.data(), n);
+            fold(lanes.data() + static_cast<std::size_t>(op.dest) * lane, n);
         }
-        std::copy(inputs.begin(), inputs.end(), flat_inputs.begin() + s * in_count);
         for (std::size_t o = 0; o < out_count; ++o) {
-            references[s * out_count + o] =
-                trace[static_cast<std::size_t>(program.outputs()[o])];
+            const double* src = lane_of(out_slots[o]);
+            for (int l = 0; l < n; ++l) {
+                references[(s0 + static_cast<std::size_t>(l)) * out_count + o] = src[l];
+            }
         }
     }
+    double max_abs = 0.0;
+    for (double v : peak) max_abs = std::max(max_abs, v);
 
     Format_search_result result;
     result.max_abs_value = max_abs;
+    // A division by zero (or an overflow) in the double reference leaves an
+    // infinite range that no Qm.f format covers: report the cell as
+    // unsatisfiable without trying a candidate.
+    if (!std::isfinite(max_abs)) {
+        result.satisfiable = false;
+        return result;
+    }
     // Integer bits: sign + magnitude + one guard bit for rounding growth.
     // This is a conservative floor — phase 3 below may shrink under it when
     // the observed computation never exercises the head bits.
@@ -78,7 +133,6 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     // the parallel batch. Jobs reuse their scratch across formats; the pool
     // is built once for the whole search.
     constexpr std::size_t kFoldJobs = 16;
-    const std::size_t lane = static_cast<std::size_t>(Fixed_exec::kLane);
     const std::size_t jobs = std::max<std::size_t>(
         1, std::min(kFoldJobs, (samples + lane - 1) / lane));
     const int threads = resolve_thread_count(options.threads);
@@ -101,7 +155,7 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
         double psnr_db = 0.0;
     };
     auto measure = [&](const Fixed_format& fmt) -> Accuracy {
-        const Fixed_exec exec(program, fmt);
+        const Fixed_exec exec(program, layout, fmt);
         const Raw_quantizer quantize(fmt);
         auto run_range = [&](std::size_t j) {
             const std::size_t s0 = j * samples / jobs;

@@ -18,11 +18,22 @@
 // Narrower formats mean cheaper operators everywhere in the cost model, so
 // this directly trades accuracy against area.
 //
-// Every candidate format is evaluated in ONE batched pass over all sample
-// windows through the integer-lowered tape (Fixed_exec): inputs are
-// quantized into a flat raw buffer and advance kLane samples per tape
-// operation out of reusable per-job scratch, optionally fanned across a
-// thread pool — no per-sample interpreter run, no per-sample allocation.
+// The search runs at lane speed on ONE lane layout: the cone's compiled tape
+// compacted by liveness (compact_lanes, sim/tape_lanes.hpp) is built once per
+// search and dropped with it — never stored on the cone or its program.
+//   - The double reference is one pass of that layout per kTapeLane block of
+//     sample windows (each input port's frame resolved once per search): it
+//     gathers the flat inputs, reads the reference outputs and folds the
+//     dynamic range over every input, constant and op destination as the op
+//     runs (an exact maximum with NaN ignored, so order-independent). A
+//     non-finite range (a division by zero in double) is reported
+//     unsatisfiable without trying a candidate.
+//   - Every candidate format, in the frac ladder and the shrink phase, runs
+//     in ONE batched pass over all sample windows through the integer-lowered
+//     tape on the same layout (Fixed_exec): inputs are quantized into a flat
+//     raw buffer and advance kLane samples per tape operation out of reusable
+//     per-job scratch, optionally fanned across a thread pool — no
+//     per-sample interpreter run, no per-sample allocation.
 // The PSNR fold rides inside the same jobs: every job accumulates the
 // squared error of its own fixed sample range (the decomposition depends
 // only on the sample count, never the thread count) and the partials
@@ -67,7 +78,9 @@ struct Format_search_result {
     // strictly less when the shrink phase fired.
     int range_integer_bits = 0;
     int formats_tried = 0;     // counts shrink candidates too
-    bool satisfiable = true;   // false when max_total_bits is insufficient
+    // false when max_total_bits is insufficient, or when the observed range
+    // is not finite (no candidate is tried then: formats_tried == 0).
+    bool satisfiable = true;
 };
 
 // Searches the format for `cone` with inputs drawn from `content` (boundary

@@ -12,7 +12,12 @@
 // hold one VALUE per slot (scalar evaluation, eval_point) or one ROW per
 // slot (the simulation engine's structure-of-arrays execution, where each
 // tape operation becomes a single tight loop over a frame row). Both styles
-// share this one lowering, so they cannot diverge semantically.
+// share this one lowering, so they cannot diverge semantically. The tape
+// stays SSA (slot == instruction). Lane consumers that hold kTapeLane
+// samples per slot — the format search and the architecture simulator —
+// run compact_lanes(tape) from sim/tape_lanes.hpp instead: the same ops
+// with slots reassigned by liveness, built per consumer and not cached
+// here.
 #pragma once
 
 #include <array>

@@ -81,32 +81,47 @@ std::vector<int> flush_origins(int extent, int w) {
 // apply_op_fixed), so the batched path is exact against run_ghost_ir: 0 LSB
 // in the fixed domain, 0.0 max abs error in the double domain.
 
+// Per-level cone execution state shared by both domains: the memoized
+// cone, its compiled tape and the tape's compact lane layout (built once per
+// level bind, dropped with the simulation), and the output scatter map.
+struct Level_lanes {
+    const Cone* cone = nullptr;
+    const Compiled_program* tape = nullptr;
+    Lane_tape layout;
+    // (s * w + yy) * w + xx -> producing lane slot, precomputed so the
+    // scatter loop never calls output_index.
+    std::vector<std::int32_t> scatter;
+
+    void bind(const Cone& c) {
+        cone = &c;
+        tape = &c.program().compiled();
+        layout = compact_lanes(*tape);
+    }
+    std::size_t lane_words() const {
+        return static_cast<std::size_t>(layout.slot_count) *
+               static_cast<std::size_t>(kTapeLane);
+    }
+    std::size_t lane_offset(std::int32_t tape_slot) const {
+        return static_cast<std::size_t>(layout.slot_of[tape_slot]) * kTapeLane;
+    }
+};
+
 // IEEE doubles over the compiled tape.
 struct Double_domain {
     using Value = double;
     Double_lane_fn kernel = double_lane_kernel();
 
-    struct Level {
-        const Cone* cone = nullptr;
-        const Compiled_program* tape = nullptr;
-        // kTapeLane contiguous origins per tape slot; constant lanes are
-        // single-assignment, filled at bind time.
+    struct Level : Level_lanes {
+        // kTapeLane contiguous origins per lane slot; constant slots are
+        // pinned, filled at bind time.
         std::vector<double> lanes;
-        // (s * w + yy) * w + xx -> producing tape slot, precomputed so the
-        // scatter loop never calls output_index.
-        std::vector<std::int32_t> scatter;
     };
 
     void bind(Level& level, const Cone& cone) const {
-        level.cone = &cone;
-        level.tape = &cone.program().compiled();
-        level.lanes.assign(static_cast<std::size_t>(level.tape->slot_count()) *
-                               static_cast<std::size_t>(kTapeLane),
-                           0.0);
-        const std::vector<Tape_constant>& constants = level.tape->constants();
-        for (const Tape_constant& k : constants) {
-            double* dst =
-                level.lanes.data() + static_cast<std::size_t>(k.slot) * kTapeLane;
+        level.Level_lanes::bind(cone);
+        level.lanes.assign(level.lane_words(), 0.0);
+        for (const Tape_constant& k : level.tape->constants()) {
+            double* dst = level.lanes.data() + level.lane_offset(k.slot);
             std::fill(dst, dst + kTapeLane, k.value);
         }
     }
@@ -117,7 +132,7 @@ struct Double_domain {
     // The frame values feed the tape unmodified, like eval_point.
     Value wrap_input(const Level&, Value v) const { return v; }
     void run_ops(Level& level, int n) const {
-        for (const Tape_op& op : level.tape->ops()) {
+        for (const Tape_op& op : level.layout.ops) {
             kernel(op, level.lanes.data(), n);
         }
     }
@@ -135,27 +150,20 @@ struct Fixed_domain {
 
     explicit Fixed_domain(const Fixed_format& fmt) : format(fmt), quantize(fmt) {}
 
-    struct Level {
-        const Cone* cone = nullptr;
-        const Compiled_program* tape = nullptr;
+    struct Level : Level_lanes {
         // Integer lowering of this cone's tape: wrap/shift parameters and
         // the raw constant words.
         std::unique_ptr<Fixed_tape> fixed;
         std::vector<std::int64_t> lanes;
-        std::vector<std::int32_t> scatter;
     };
 
     void bind(Level& level, const Cone& cone) const {
-        level.cone = &cone;
-        level.tape = &cone.program().compiled();
-        level.fixed = std::make_unique<Fixed_tape>(cone.program().compiled(), format);
-        level.lanes.assign(static_cast<std::size_t>(level.tape->slot_count()) *
-                               static_cast<std::size_t>(kTapeLane),
-                           0);
+        level.Level_lanes::bind(cone);
+        level.fixed = std::make_unique<Fixed_tape>(*level.tape, format);
+        level.lanes.assign(level.lane_words(), 0);
         const std::vector<Tape_constant>& constants = level.tape->constants();
         for (std::size_t i = 0; i < constants.size(); ++i) {
-            std::int64_t* dst = level.lanes.data() +
-                                static_cast<std::size_t>(constants[i].slot) * kTapeLane;
+            std::int64_t* dst = level.lanes.data() + level.lane_offset(constants[i].slot);
             std::fill(dst, dst + kTapeLane, level.fixed->constant_raw()[i]);
         }
     }
@@ -173,7 +181,7 @@ struct Fixed_domain {
         const Bit_wrap& wrap = level.fixed->wrap();
         const int frac = level.fixed->frac_bits();
         const std::int64_t one = level.fixed->fixed_one();
-        for (const Tape_op& op : level.tape->ops()) {
+        for (const Tape_op& op : level.layout.ops) {
             kernel(op, level.lanes.data(), n, wrap, frac, one);
         }
     }
@@ -226,9 +234,10 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
     }
 
     // Per-level cone execution state, resolved once: the memoized cone, its
-    // compiled tape, the domain's lane block (constants prefilled) and the
-    // output scatter map (s * w + yy) * w + xx -> producing tape slot. Cone
-    // executions below are then allocation-free in both modes.
+    // compiled tape and compact lane layout, the domain's lane block
+    // (constants prefilled) and the output scatter map
+    // (s * w + yy) * w + xx -> producing lane slot. Cone executions below
+    // are then allocation-free in both modes.
     std::vector<typename Domain::Level> level_exec(level_count);
     for (std::size_t k = 0; k < level_count; ++k) {
         const Cone& cone = library.cone(w, instance.level_depths[k]);
@@ -245,7 +254,8 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                                 static_cast<std::size_t>(yy)) *
                                    w +
                                static_cast<std::size_t>(xx)] =
-                        out_slots[static_cast<std::size_t>(cone.output_index(s, xx, yy))];
+                        le.layout.slot_of[out_slots[static_cast<std::size_t>(
+                            cone.output_index(s, xx, yy))]];
                 }
             }
         }
@@ -328,8 +338,7 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                             static_cast<long long>(program.register_count()) * n;
 
                         for (const Tape_input& port : ports) {
-                            Value* dst =
-                                lanes + static_cast<std::size_t>(port.slot) * kTapeLane;
+                            Value* dst = lanes + le.lane_offset(port.slot);
                             const int py = origin_y + port.dy;
                             for (int l = 0; l < n; ++l) {
                                 dst[l] = domain.wrap_input(

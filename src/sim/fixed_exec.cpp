@@ -115,60 +115,53 @@ std::vector<double> run_fixed(const Register_program& program,
 static_assert(Fixed_exec::kLane == kTapeLane,
               "Fixed_exec lane width must match the shared lane kernels");
 
-Fixed_exec::Fixed_exec(const Register_program& program, const Fixed_format& format)
-    : program_(&program), fixed_(program.compiled(), format) {}
-
-void Fixed_exec::eval_into(const std::int64_t* inputs, std::int64_t* outputs,
-                           Scratch& scratch) const {
-    const Compiled_program& cp = fixed_.tape();
-    const auto slots = static_cast<std::size_t>(cp.slot_count());
-    if (scratch.point.size() < slots) scratch.point.resize(slots);
-    fixed_.eval_point(inputs, scratch.point.data());
-    const std::vector<std::int32_t>& out_slots = cp.output_slots();
-    for (std::size_t o = 0; o < out_slots.size(); ++o) {
-        outputs[o] = scratch.point[static_cast<std::size_t>(out_slots[o])];
-    }
-}
+Fixed_exec::Fixed_exec(const Register_program& program, const Lane_tape& layout,
+                       const Fixed_format& format)
+    : layout_(&layout), fixed_(program.compiled(), format) {}
 
 void Fixed_exec::run_raw_batch(const std::int64_t* inputs, std::size_t samples,
                                std::int64_t* outputs, Scratch& scratch) const {
     const Compiled_program& cp = fixed_.tape();
-    const std::size_t lane_words =
-        static_cast<std::size_t>(cp.slot_count()) * static_cast<std::size_t>(kLane);
+    const std::vector<std::int32_t>& slot_of = layout_->slot_of;
+    const std::size_t lane_words = static_cast<std::size_t>(layout_->slot_count) *
+                                   static_cast<std::size_t>(kLane);
     if (scratch.lanes.size() < lane_words) scratch.lanes.resize(lane_words);
     std::int64_t* lanes = scratch.lanes.data();
+    auto lane = [&](std::int32_t tape_slot) {
+        return lanes + static_cast<std::size_t>(slot_of[tape_slot]) * kLane;
+    };
 
     const std::vector<Tape_constant>& constants = cp.constants();
     const std::vector<std::int64_t>& constant_raw = fixed_.constant_raw();
     const std::vector<Tape_input>& ins = cp.inputs();
-    const std::vector<Tape_op>& ops = cp.ops();
     const std::vector<std::int32_t>& out_slots = cp.output_slots();
     const std::size_t in_count = ins.size();
     const std::size_t out_count = out_slots.size();
     const Bit_wrap& wrap = fixed_.wrap();
     const int frac = fixed_.frac_bits();
     const std::int64_t fixed_one = fixed_.fixed_one();
+    const Fixed_lane_fn kernel = fixed_lane_kernel();
 
+    // Constant slots are pinned: no op overwrites them, so one fill serves
+    // every block.
+    for (std::size_t c = 0; c < constants.size(); ++c) {
+        std::int64_t* dst = lane(constants[c].slot);
+        std::fill(dst, dst + kLane, constant_raw[c]);
+    }
     for (std::size_t s0 = 0; s0 < samples; s0 += kLane) {
         const int n = static_cast<int>(std::min<std::size_t>(kLane, samples - s0));
-        for (std::size_t c = 0; c < constants.size(); ++c) {
-            std::int64_t* dst =
-                lanes + static_cast<std::size_t>(constants[c].slot) * kLane;
-            std::fill(dst, dst + n, constant_raw[c]);
-        }
         for (std::size_t i = 0; i < in_count; ++i) {
-            std::int64_t* dst = lanes + static_cast<std::size_t>(ins[i].slot) * kLane;
+            std::int64_t* dst = lane(ins[i].slot);
             const std::int64_t* src = inputs + s0 * in_count + i;
             for (int l = 0; l < n; ++l) {
                 dst[l] = wrap(src[static_cast<std::size_t>(l) * in_count]);
             }
         }
-        for (const Tape_op& op : ops) {
-            run_fixed_op_lanes(op, lanes, n, wrap, frac, fixed_one);
+        for (const Tape_op& op : layout_->ops) {
+            kernel(op, lanes, n, wrap, frac, fixed_one);
         }
         for (std::size_t o = 0; o < out_count; ++o) {
-            const std::int64_t* src =
-                lanes + static_cast<std::size_t>(out_slots[o]) * kLane;
+            const std::int64_t* src = lane(out_slots[o]);
             std::int64_t* dst = outputs + s0 * out_count + o;
             for (int l = 0; l < n; ++l) {
                 dst[static_cast<std::size_t>(l) * out_count] = src[l];

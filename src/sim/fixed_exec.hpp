@@ -15,9 +15,11 @@
 //   - Fixed_exec (here) executes the integer-lowered tape (Fixed_tape)
 //     structure-of-arrays over sample lanes: many samples advance through
 //     each tape operation in one tight loop over a reusable lane buffer, so
-//     evaluating thousands of sample windows (fixed-point format search,
-//     fixed-mode architecture simulation) performs no per-sample allocation
-//     and amortizes the per-operation dispatch across a whole lane block.
+//     evaluating thousands of sample windows (the fixed-point format search)
+//     performs no per-sample allocation and amortizes the per-operation
+//     dispatch across a whole lane block. It runs the liveness-compacted
+//     lane layout of the tape (compact_lanes, sim/tape_lanes.hpp), which the
+//     caller builds once and shares across every format it tries.
 //   - Exec_engine::run_fixed (sim/exec_engine.hpp) executes the same tape
 //     structure-of-arrays over whole frame ROWS — the frame-scale twin of
 //     Fixed_exec, memcmp-identical to a per-pixel run_fixed_raw sweep.
@@ -29,6 +31,7 @@
 #include "backend/fixed_point.hpp"
 #include "ir/compiled.hpp"
 #include "ir/program.hpp"
+#include "sim/tape_lanes.hpp"
 
 namespace islhls {
 
@@ -43,50 +46,41 @@ std::vector<double> run_fixed(const Register_program& program,
                               const Fixed_format& fmt);
 
 // Allocation-free batched executor over the integer-lowered tape. One
-// instance binds a program to one Qm.f format; the caller provides a
-// Scratch that is reused across any number of batches (and across
-// executors of the same program — it is resized on first use).
+// instance binds a program and its lane layout to one Qm.f format; the
+// caller provides a Scratch that is reused across any number of batches
+// (and across executors of the same program — it is resized on first use).
 class Fixed_exec {
 public:
     // Samples evaluated per tape pass: each tape operation becomes one loop
     // of kLane integer operations over contiguous lanes, which is the form
-    // the compiler auto-vectorizes; a block of this width keeps the whole
-    // slot buffer cache-resident for typical cone programs.
+    // the compiler auto-vectorizes. A block holds kLane words per LANE
+    // slot of the compact layout, not per instruction: over the zoo's 585
+    // format-search cones that is 304 slots (~152 KB, within a typical L2)
+    // on average against 3411 SSA slots (~1.7 MB) — one slot per
+    // instruction would not stay cache-resident for cone-sized programs.
     static constexpr int kLane = 64;
 
-    // `program` must outlive the executor.
-    Fixed_exec(const Register_program& program, const Fixed_format& format);
+    // `program` and `layout` (compact_lanes(program.compiled())) must
+    // outlive the executor.
+    Fixed_exec(const Register_program& program, const Lane_tape& layout,
+               const Fixed_format& format);
 
-    const Register_program& program() const { return *program_; }
-    const Fixed_tape& tape() const { return fixed_; }
-    const Fixed_format& format() const { return fixed_.format(); }
-    int input_count() const { return static_cast<int>(fixed_.tape().inputs().size()); }
-    int output_count() const {
-        return static_cast<int>(fixed_.tape().output_slots().size());
-    }
-
-    // Reusable per-thread scratch: `lanes` holds kLane samples per tape
-    // slot, `point` one sample (the scalar path). Both grow on first use and
-    // are never shrunk, so a thread evaluating many batches allocates once.
+    // Reusable per-thread scratch: kLane samples per lane slot. It grows on
+    // first use and is never shrunk, so a thread evaluating many batches
+    // allocates once.
     struct Scratch {
         std::vector<std::int64_t> lanes;
-        std::vector<std::int64_t> point;
     };
 
-    // Scalar: evaluates one sample of raw input words into `outputs`
-    // (output_count() words). Byte-identical to run_fixed_raw.
-    void eval_into(const std::int64_t* inputs, std::int64_t* outputs,
-                   Scratch& scratch) const;
-
     // Batch: evaluates `samples` input vectors, row-major
-    // [samples][input_count()] raw words, into row-major
-    // [samples][output_count()] raw outputs, kLane samples per tape pass.
+    // [samples][program inputs] raw words, into row-major
+    // [samples][program outputs] raw outputs, kLane samples per tape pass.
     // Byte-identical to run_fixed_raw on every sample.
     void run_raw_batch(const std::int64_t* inputs, std::size_t samples,
                        std::int64_t* outputs, Scratch& scratch) const;
 
 private:
-    const Register_program* program_;
+    const Lane_tape* layout_;
     Fixed_tape fixed_;
 };
 

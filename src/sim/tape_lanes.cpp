@@ -1,5 +1,6 @@
 #include "sim/tape_lanes.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/error.hpp"
@@ -68,6 +69,65 @@ const Lane_dispatch& lane_dispatch() {
 }
 
 }  // namespace
+
+Lane_tape compact_lanes(const Compiled_program& tape) {
+    const auto slots = static_cast<std::size_t>(tape.slot_count());
+    const std::vector<Tape_op>& ops = tape.ops();
+    Lane_tape out;
+    out.slot_of.assign(slots, -1);
+
+    // Pinned values first, in tape-slot order: they live across the whole
+    // block (constants and inputs from the bind, outputs until read back).
+    std::vector<char> pinned(slots, 0);
+    for (const Tape_constant& c : tape.constants()) pinned[c.slot] = 1;
+    for (const Tape_input& in : tape.inputs()) pinned[in.slot] = 1;
+    for (std::int32_t o : tape.output_slots()) pinned[o] = 1;
+    for (std::size_t s = 0; s < slots; ++s) {
+        if (pinned[s]) out.slot_of[s] = out.slot_count++;
+    }
+
+    // Index of the last op reading each value (-1: never read).
+    std::vector<std::int32_t> last_use(slots, -1);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        for (int a = 0; a < ops[i].src_count; ++a) {
+            last_use[ops[i].src[a]] = static_cast<std::int32_t>(i);
+        }
+    }
+
+    // Linear scan: the destination takes the most recently freed slot, then
+    // the op releases the sources it read last. Releasing after the take
+    // keeps a destination off its own operands.
+    std::vector<std::int32_t> free_slots;
+    out.ops.reserve(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        Tape_op op = ops[i];
+        const std::int32_t dest = op.dest;
+        if (!pinned[dest]) {
+            if (free_slots.empty()) {
+                out.slot_of[dest] = out.slot_count++;
+            } else {
+                out.slot_of[dest] = free_slots.back();
+                free_slots.pop_back();
+            }
+        }
+        op.dest = out.slot_of[dest];
+        for (int a = 0; a < op.src_count; ++a) {
+            const std::int32_t src = ops[i].src[a];
+            op.src[a] = out.slot_of[src];
+            const bool repeated = std::find(ops[i].src.begin(), ops[i].src.begin() + a,
+                                            src) != ops[i].src.begin() + a;
+            if (!pinned[src] && !repeated &&
+                last_use[src] == static_cast<std::int32_t>(i)) {
+                free_slots.push_back(op.src[a]);
+            }
+        }
+        // A value nobody reads is still computed (its lanes may be folded
+        // by the caller while the op runs), then its slot is free again.
+        if (!pinned[dest] && last_use[dest] < 0) free_slots.push_back(op.dest);
+        out.ops.push_back(op);
+    }
+    return out;
+}
 
 Fixed_lane_fn fixed_lane_kernel() { return lane_dispatch().fixed; }
 Double_lane_fn double_lane_kernel() { return lane_dispatch().dbl; }

@@ -278,6 +278,75 @@ TEST(Format_search, batched_matches_reference_across_kernels) {
     }
 }
 
+TEST(Format_search, batched_matches_reference_on_deep_cones) {
+    // The 2x2x1 cones above are too small for the lane layout to reuse many
+    // slots; at (4x4, depth 3) every zoo kernel's tape has long-dead
+    // intermediates whose lanes the compact layout hands to later ops.
+    for (const std::string& name : kernel_names()) {
+        SCOPED_TRACE(name);
+        const Kernel_def& kernel = kernel_by_name(name);
+        Stencil_step step = extract_stencil(kernel.c_source);
+        const Cone cone(step, Cone_spec{4, 4, 3});
+        const Frame_set content =
+            kernel.make_initial(make_synthetic_scene(21, 16, 42));
+        Format_search_options options;
+        options.target_psnr_db = 40.0;
+        options.sample_windows = 24;
+        expect_same_result(
+            search_fixed_format_reference(cone, content, kernel.boundary, options),
+            search_fixed_format(cone, content, kernel.boundary, options));
+    }
+}
+
+TEST(Format_search, batched_matches_reference_across_lane_block_splits) {
+    // Deep cones at window counts below, at and just past one lane block
+    // (64) and across two: the double pass and every candidate split into
+    // full and partial blocks the same way. The frac ladder runs several
+    // candidates here; the shrink walk (covered per kernel above) is off
+    // because its verbatim-reference cost grows with every shrunk bit.
+    for (const char* name : {"igf", "chambolle"}) {
+        SCOPED_TRACE(name);
+        const Kernel_def& kernel = kernel_by_name(name);
+        Stencil_step step = extract_stencil(kernel.c_source);
+        const Cone cone(step, Cone_spec{9, 9, 5});
+        const Frame_set content =
+            kernel.make_initial(make_synthetic_scene(40, 32, 5));
+        for (int sample_windows : {1, 63, 64, 65, 131}) {
+            SCOPED_TRACE(sample_windows);
+            Format_search_options options;
+            options.target_psnr_db = 45.0;
+            options.shrink_integer_bits = false;
+            options.sample_windows = sample_windows;
+            expect_same_result(
+                search_fixed_format_reference(cone, content, kernel.boundary, options),
+                search_fixed_format(cone, content, kernel.boundary, options));
+        }
+    }
+}
+
+TEST(Format_search, non_finite_range_is_reported_unsatisfiable) {
+    // Flat runs make the divisor u[x+1] - u[x-1] zero, so the double
+    // reference divides by zero and the observed range is infinite. No
+    // Qm.f format covers it: the search must say so without trying one.
+    Stencil_step step = extract_stencil(
+        "void k(float u_out[H][W], const float u[H][W]) {\n"
+        "  for (int y = 0; y < H; y++)\n"
+        "    for (int x = 0; x < W; x++)\n"
+        "      u_out[y][x] = u[y][x] / (u[y][x+1] - u[y][x-1]);\n"
+        "}\n");
+    const Cone cone(step, Cone_spec{2, 2, 1});
+    Frame_set content(16, 12);
+    Frame& u = content.add_field("u", Frame(16, 12));
+    for (int y = 0; y < 12; ++y) {
+        for (int x = 0; x < 16; ++x) u.at(x, y) = (x / 4) * 10.0;
+    }
+    const Format_search_result r =
+        search_fixed_format(cone, content, Boundary::clamp);
+    EXPECT_FALSE(r.satisfiable);
+    EXPECT_EQ(r.formats_tried, 0);
+    EXPECT_TRUE(std::isinf(r.max_abs_value));
+}
+
 TEST(Format_search, chambolle_small_range_small_integer_bits) {
     // Dual fields live in [-1, 1]; with g scaled by 1/8 the intermediates
     // stay small, so the integer bits must be far below IGF's.
