@@ -10,6 +10,7 @@
 #include "dse/pareto.hpp"
 #include "sim/arch_sim.hpp"
 #include "sim/golden.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"
 
@@ -60,13 +61,19 @@ void bench_cone_execution(benchmark::State& state) {
     Stencil_step step = extract_stencil(kernel_by_name("igf").c_source);
     const Cone cone(step, Cone_spec{4, 4, 3});
     const Register_program& prog = cone.program();
+    const Compiled_program& tape = prog.compiled();
+    const Lane_tape layout = compact_lanes(tape);
+    Lane_block<double> block(layout);
     Prng rng(1);
-    std::vector<double> inputs;
-    for (int i = 0; i < prog.input_count(); ++i) inputs.push_back(rng.next_in(0, 255));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(prog.run(inputs));
+    for (const Tape_input& in : tape.inputs()) {
+        for (int l = 0; l < kTapeLane; ++l) block.lane(in.slot)[l] = rng.next_in(0, 255);
     }
-    state.SetItemsProcessed(state.iterations() *
+    // One lane pass executes the cone at kTapeLane window origins.
+    for (auto _ : state) {
+        block.run(kTapeLane);
+        benchmark::DoNotOptimize(block.lane(tape.output_slots()[0])[0]);
+    }
+    state.SetItemsProcessed(state.iterations() * kTapeLane *
                             static_cast<long long>(prog.outputs().size()));
 }
 BENCHMARK(bench_cone_execution)->Name("cone_execute/igf_w4d3");

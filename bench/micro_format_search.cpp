@@ -5,10 +5,11 @@
 // candidate format over many sample windows. Before the fixed-point tape
 // engine, each (format, sample) pair ran through run_fixed — a fresh
 // register file allocated per call, one branchy dispatch per instruction.
-// The batched path lowers the tape once per format (Fixed_tape) and
-// advances kLane samples per tape operation out of reusable scratch
-// (Fixed_exec::run_raw_batch), over one liveness-compacted lane layout
-// (compact_lanes) shared by every format, exactly as the search runs it.
+// The batched path runs one fixed-domain lane block (Lane_block::run_batch)
+// that advances kTapeLane samples per tape operation, rebound to each format
+// (constants re-quantized, lanes kept) over one liveness-compacted lane
+// layout (compact_lanes) shared by every format, exactly as the search runs
+// it.
 //
 // This bench measures the like-for-like PSNR evaluation of a fixed list of
 // candidate formats over the same sample set both ways, and checks the
@@ -45,6 +46,7 @@
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/fixed_exec.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/prng.hpp"
 #include "support/text.hpp"
 #include "symexec/executor.hpp"
@@ -140,18 +142,15 @@ double mse_interpreter(const Register_program& program, const Sample_set& set,
 
 // The batched evaluation: quantize the flat inputs, one tape pass over all
 // samples, MSE folded in the same order as the interpreter loop.
-double mse_batched(const Register_program& program, const Lane_tape& layout,
-                   const Sample_set& set, const Fixed_format& fmt,
-                   std::vector<std::int64_t>& raw_inputs,
-                   std::vector<std::int64_t>& raw_outputs,
-                   Fixed_exec::Scratch& scratch) {
-    const Fixed_exec exec(program, layout, fmt);
+double mse_batched(Lane_block<std::int64_t>& block, const Sample_set& set,
+                   const Fixed_format& fmt, std::vector<std::int64_t>& raw_inputs,
+                   std::vector<std::int64_t>& raw_outputs) {
+    block.set_format(fmt);
     const Raw_quantizer quantize(fmt);
     for (std::size_t k = 0; k < set.flat_inputs.size(); ++k) {
         raw_inputs[k] = quantize(set.flat_inputs[k]);
     }
-    exec.run_raw_batch(raw_inputs.data(), set.inputs.size(), raw_outputs.data(),
-                       scratch);
+    block.run_batch(raw_inputs.data(), set.inputs.size(), raw_outputs.data());
     double se = 0.0;
     long long count = 0;
     for (std::size_t k = 0; k < set.inputs.size() * set.out_count; ++k) {
@@ -207,17 +206,18 @@ int main(int argc, char** argv) {
     // --- correctness: batched raw outputs byte-identical to run_fixed_raw ----
     std::vector<std::int64_t> raw_inputs(set.flat_inputs.size());
     std::vector<std::int64_t> raw_outputs(kSamples * set.out_count);
-    Fixed_exec::Scratch scratch;
-    // One lane layout serves every candidate format, as in the search.
+    // One lane layout and one block serve every candidate format, as in the
+    // search.
     const Lane_tape layout = compact_lanes(program.compiled());
+    Lane_block<std::int64_t> block(layout, formats.front());
     bool raw_identical = true;
     for (const Fixed_format& fmt :
          {formats.front(), formats[formats.size() / 2], formats.back()}) {
-        const Fixed_exec exec(program, layout, fmt);
+        block.set_format(fmt);
         for (std::size_t k = 0; k < set.flat_inputs.size(); ++k) {
             raw_inputs[k] = to_raw(set.flat_inputs[k], fmt);
         }
-        exec.run_raw_batch(raw_inputs.data(), kSamples, raw_outputs.data(), scratch);
+        block.run_batch(raw_inputs.data(), kSamples, raw_outputs.data());
         for (std::size_t s = 0; s < kSamples && raw_identical; ++s) {
             std::vector<std::int64_t> one(raw_inputs.begin() + s * set.in_count,
                                           raw_inputs.begin() + (s + 1) * set.in_count);
@@ -238,8 +238,8 @@ int main(int argc, char** argv) {
     });
     const double batched_s = min_seconds(3, [&] {
         for (std::size_t f = 0; f < formats.size(); ++f) {
-            batched_mse[f] = mse_batched(program, layout, set, formats[f],
-                                         raw_inputs, raw_outputs, scratch);
+            batched_mse[f] =
+                mse_batched(block, set, formats[f], raw_inputs, raw_outputs);
         }
     });
     const bool mse_identical = interp_mse == batched_mse;

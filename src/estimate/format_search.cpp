@@ -5,7 +5,6 @@
 #include <cmath>
 #include <optional>
 
-#include "sim/fixed_exec.hpp"
 #include "sim/tape_lanes.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -65,25 +64,17 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     // so the fold order cannot change the result.
     std::vector<double> flat_inputs(samples * in_count);
     std::vector<double> references(samples * out_count);
-    std::vector<double> lanes(static_cast<std::size_t>(layout.slot_count) * lane);
-    auto lane_of = [&](std::int32_t tape_slot) {
-        return lanes.data() + static_cast<std::size_t>(layout.slot_of[tape_slot]) * lane;
-    };
+    Lane_block<double> reference(layout);
     std::array<double, kTapeLane> peak{};
     auto fold = [&](const double* values, int n) {
         for (int l = 0; l < n; ++l) peak[l] = std::max(peak[l], std::fabs(values[l]));
     };
-    for (const Tape_constant& c : tape.constants()) {
-        double* dst = lane_of(c.slot);
-        std::fill(dst, dst + lane, c.value);
-        fold(dst, 1);
-    }
-    const Double_lane_fn kernel = double_lane_kernel();
+    for (const Tape_constant& c : tape.constants()) fold(reference.lane(c.slot), 1);
     for (std::size_t s0 = 0; s0 < samples; s0 += lane) {
         const int n = static_cast<int>(std::min(lane, samples - s0));
         for (std::size_t p = 0; p < in_count; ++p) {
             const Tape_input& port = ports[p];
-            double* dst = lane_of(port.slot);
+            double* dst = reference.lane(port.slot);
             for (int l = 0; l < n; ++l) {
                 const auto [ox, oy] = origins[s0 + static_cast<std::size_t>(l)];
                 dst[l] = sample(*port_frame[p], ox + port.dx, oy + port.dy);
@@ -91,12 +82,9 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
             }
             fold(dst, n);
         }
-        for (const Tape_op& op : layout.ops) {
-            kernel(op, lanes.data(), n);
-            fold(lanes.data() + static_cast<std::size_t>(op.dest) * lane, n);
-        }
+        reference.run(n, fold);
         for (std::size_t o = 0; o < out_count; ++o) {
-            const double* src = lane_of(out_slots[o]);
+            const double* src = reference.lane(out_slots[o]);
             for (int l = 0; l < n; ++l) {
                 references[(s0 + static_cast<std::size_t>(l)) * out_count + o] = src[l];
             }
@@ -121,16 +109,14 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
         2 + static_cast<int>(std::ceil(std::log2(std::max(1.0, max_abs))));
     result.range_integer_bits = integer_bits;
 
-    // One batched tape pass per candidate format: quantize the flat inputs,
-    // run every sample window through the integer-lowered tape, and fold the
+    // One batched lane pass per candidate format: quantize the flat inputs,
+    // run every sample window through the fixed lane block, and fold the
     // squared error inside the SAME jobs that ran the batch. The job
     // decomposition is a function of the sample count alone (at most
-    // kFoldJobs ranges, never smaller than one kLane block so the batch
-    // executor's lane passes stay full), each job accumulates its partial
-    // sum over its samples in sample order, and the partials combine in
-    // range order after the join — so the PSNR is bit-identical at any
-    // thread count, and the fold no longer runs as a serial epilogue after
-    // the parallel batch. Jobs reuse their scratch across formats; the pool
+    // kFoldJobs ranges, never smaller than one kTapeLane block so the lane
+    // passes stay full), each job accumulates its partial sum over its
+    // samples in sample order, and the partials combine in range order after
+    // the join — so the PSNR is bit-identical at any thread count. The pool
     // is built once for the whole search.
     constexpr std::size_t kFoldJobs = 16;
     const std::size_t jobs = std::max<std::size_t>(
@@ -138,10 +124,12 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     const int threads = resolve_thread_count(options.threads);
     std::optional<Thread_pool> pool;
     if (threads > 1 && jobs > 1) pool.emplace(threads);
-    // Per-job scratch is only needed when jobs really run concurrently; a
-    // serial pass keeps ONE cache-hot lane buffer across all ranges instead
-    // of cycling jobs-many cold ones. Scratch never influences results.
-    std::vector<Fixed_exec::Scratch> scratch(pool ? jobs : 1);
+    // Per-job lane blocks over the one layout are only needed when jobs
+    // really run concurrently; a serial pass keeps ONE cache-hot block
+    // across all ranges. Blocks are built at the first candidate and
+    // rebound to each later one, keeping their lanes; lane contents never
+    // influence results.
+    std::vector<Lane_block<std::int64_t>> blocks;
     std::vector<double> partial_se(jobs, 0.0);
     std::vector<std::int64_t> raw_inputs(samples * in_count);
     std::vector<std::int64_t> raw_outputs(samples * out_count);
@@ -155,7 +143,11 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
         double psnr_db = 0.0;
     };
     auto measure = [&](const Fixed_format& fmt) -> Accuracy {
-        const Fixed_exec exec(program, layout, fmt);
+        if (blocks.empty()) {
+            blocks.assign(pool ? jobs : 1, Lane_block<std::int64_t>(layout, fmt));
+        } else {
+            for (Lane_block<std::int64_t>& block : blocks) block.set_format(fmt);
+        }
         const Raw_quantizer quantize(fmt);
         auto run_range = [&](std::size_t j) {
             const std::size_t s0 = j * samples / jobs;
@@ -163,9 +155,8 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
             for (std::size_t k = s0 * in_count; k < s1 * in_count; ++k) {
                 raw_inputs[k] = quantize(flat_inputs[k]);
             }
-            exec.run_raw_batch(raw_inputs.data() + s0 * in_count, s1 - s0,
-                               raw_outputs.data() + s0 * out_count,
-                               scratch[pool ? j : 0]);
+            blocks[pool ? j : 0].run_batch(raw_inputs.data() + s0 * in_count, s1 - s0,
+                                           raw_outputs.data() + s0 * out_count);
             double se = 0.0;
             for (std::size_t k = s0 * out_count; k < s1 * out_count; ++k) {
                 const double d = from_raw(raw_outputs[k], fmt) - references[k];

@@ -21,15 +21,26 @@ Frame::Frame(int width, int height, double fill)
     check_internal(width >= 0 && height >= 0, "Frame dimensions must be non-negative");
 }
 
+namespace {
+
+// at() sits in per-element loops, so the message is built only when the
+// check fails.
+void check_at(bool inside, int x, int y, int width, int height) {
+    if (!inside) {
+        check_internal(false, cat("Frame::at out of range (", x, ",", y, ") in ", width,
+                                  "x", height));
+    }
+}
+
+}  // namespace
+
 double& Frame::at(int x, int y) {
-    check_internal(contains(x, y), cat("Frame::at out of range (", x, ",", y, ") in ",
-                                       width_, "x", height_));
+    check_at(contains(x, y), x, y, width_, height_);
     return data_[static_cast<std::size_t>(y) * width_ + x];
 }
 
 double Frame::at(int x, int y) const {
-    check_internal(contains(x, y), cat("Frame::at out of range (", x, ",", y, ") in ",
-                                       width_, "x", height_));
+    check_at(contains(x, y), x, y, width_, height_);
     return data_[static_cast<std::size_t>(y) * width_ + x];
 }
 

@@ -1,7 +1,11 @@
 // Numeric evaluation of expression DAGs.
 //
-// Used by the golden checks (does a cone DAG compute the same values as N
-// native iterations?) and by the architecture simulator's functional mode.
+// evaluate / evaluate_many walk the DAG directly, independent of lowering:
+// the tests pin build_program's register programs against them. apply_op is
+// the double-domain op semantics of the scalar interpreter
+// (Register_program::run_trace_into); the lane kernels of sim/tape_lanes.hpp
+// match it case for case. Neither the golden checks nor the architecture
+// simulator evaluate DAGs: both run the compiled tape.
 #pragma once
 
 #include <functional>
@@ -25,7 +29,8 @@ std::vector<double> evaluate_many(const Expr_pool& pool,
                                   const Input_resolver& resolve);
 
 // Applies a single operation to already-computed operand values; shared by
-// the evaluator and the register-program executor so semantics never diverge.
+// the DAG evaluator and the register-program interpreter so their semantics
+// never diverge.
 double apply_op(Op_kind kind, const double* operands);
 
 }  // namespace islhls

@@ -4,7 +4,8 @@
 // explicit: each DAG node becomes exactly one instruction whose destination
 // is one hardware register; any further use of the value reads that register.
 // The same structure drives the VHDL emitter, the virtual synthesizer's
-// netlist costing, and the fast functional executor in the simulator.
+// netlist costing, and (through its compiled tape) the simulator's lane
+// executor.
 #pragma once
 
 #include <array>
@@ -50,23 +51,17 @@ public:
     // Pipeline depth (maximum level over all instructions).
     int depth() const { return depth_; }
 
-    // Executes the program; `inputs[i]` must hold the value for the i-th
-    // input instruction (in program order). Returns the output values.
-    //
-    // Compatibility wrapper over the compiled execution engine's scalar
-    // path: it evaluates the tape into a reused per-thread scratch buffer
-    // and only materializes the outputs (no full instruction-slot trace).
-    // Hot loops should use compiled() / Exec_engine directly.
-    std::vector<double> run(const std::vector<double>& inputs) const;
-
-    // Like run(), but returns the value of *every* instruction slot — used
-    // by range analysis (fixed-point format search) to see intermediates.
+    // Interprets the program; `inputs[i]` must hold the value for the i-th
+    // input instruction (in program order). Returns the value of *every*
+    // instruction slot; the outputs sit at outputs().
     std::vector<double> run_trace(const std::vector<double>& inputs) const;
 
     // Batch-friendly run_trace: writes every instruction slot's value into
     // `regs` (resized to the instruction count), reusing its capacity so a
     // caller tracing many input sets performs no per-call allocation. This
-    // is the reference interpreter the compiled engine is validated against.
+    // is the double-domain scalar oracle: an instruction-by-instruction
+    // interpreter over apply_op (ir/eval.hpp), independent of the compiled
+    // tape and the lane kernels that the tests compare against it.
     void run_trace_into(const std::vector<double>& inputs,
                         std::vector<double>& regs) const;
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
+#include <utility>
 
-#include "ir/compiled.hpp"
 #include "sim/tape_lanes.hpp"
 #include "support/error.hpp"
 #include "support/numeric.hpp"
@@ -72,119 +72,58 @@ std::vector<int> flush_origins(int extent, int w) {
 //
 // One domain per arithmetic mode; the simulation loop below is templated on
 // it, so both modes run the identical tiling/coverage machinery and only the
-// element type, the off-chip conversions and the per-op lane arithmetic
-// differ. Cone execution is lane-blocked in both domains: up to kTapeLane
-// cone origins of one region row advance together through the shared
-// per-ISA lane kernels (sim/tape_lanes.hpp), one kernel call per tape
-// operation — there is no per-origin scalar gather/execute/scatter loop.
-// The kernels match the scalar references case for case (apply_op /
-// apply_op_fixed), so the batched path is exact against run_ghost_ir: 0 LSB
-// in the fixed domain, 0.0 max abs error in the double domain.
+// element type, the off-chip conversions and the lane block's domain differ.
+// Cone execution is lane-blocked in both domains: up to kTapeLane cone
+// origins of one region row advance together through one Lane_block per
+// level (sim/tape_lanes.hpp), one kernel call per pass over the tape — there is
+// no per-origin scalar gather/execute/scatter loop. The block matches the
+// scalar oracles case for case, so the batched path is exact against
+// run_ghost_ir: 0 LSB in the fixed domain, 0.0 max abs error in the double
+// domain.
 
-// Per-level cone execution state shared by both domains: the memoized
-// cone, its compiled tape and the tape's compact lane layout (built once per
-// level bind, dropped with the simulation), and the output scatter map.
-struct Level_lanes {
-    const Cone* cone = nullptr;
-    const Compiled_program* tape = nullptr;
-    Lane_tape layout;
-    // (s * w + yy) * w + xx -> producing lane slot, precomputed so the
-    // scatter loop never calls output_index.
-    std::vector<std::int32_t> scatter;
-
-    void bind(const Cone& c) {
-        cone = &c;
-        tape = &c.program().compiled();
-        layout = compact_lanes(*tape);
-    }
-    std::size_t lane_words() const {
-        return static_cast<std::size_t>(layout.slot_count) *
-               static_cast<std::size_t>(kTapeLane);
-    }
-    std::size_t lane_offset(std::int32_t tape_slot) const {
-        return static_cast<std::size_t>(layout.slot_of[tape_slot]) * kTapeLane;
-    }
-};
-
-// IEEE doubles over the compiled tape.
+// IEEE doubles.
 struct Double_domain {
     using Value = double;
-    Double_lane_fn kernel = double_lane_kernel();
-
-    struct Level : Level_lanes {
-        // kTapeLane contiguous origins per lane slot; constant slots are
-        // pinned, filled at bind time.
-        std::vector<double> lanes;
-    };
-
-    void bind(Level& level, const Cone& cone) const {
-        level.Level_lanes::bind(cone);
-        level.lanes.assign(level.lane_words(), 0.0);
-        for (const Tape_constant& k : level.tape->constants()) {
-            double* dst = level.lanes.data() + level.lane_offset(k.slot);
-            std::fill(dst, dst + kTapeLane, k.value);
-        }
+    Lane_block<double> block(const Lane_tape& layout) const {
+        return Lane_block<double>(layout);
     }
     Value load(const Frame& f, int x, int y, Boundary b) const {
         return f.sample(x, y, b);
     }
     double store(Value v) const { return v; }
-    // The frame values feed the tape unmodified, like eval_point.
-    Value wrap_input(const Level&, Value v) const { return v; }
-    void run_ops(Level& level, int n) const {
-        for (const Tape_op& op : level.layout.ops) {
-            kernel(op, level.lanes.data(), n);
-        }
-    }
 };
 
-// Raw Qm.f words over the integer-lowered tape, byte-identical to the
-// run_fixed_raw reference interpreter. The off-chip load quantizes every
-// element exactly once; levels hand raw words to each other directly,
-// matching the fixed frame engine word for word.
+// Raw Qm.f words, byte-identical to the run_fixed_raw reference
+// interpreter. The off-chip load quantizes every element exactly once;
+// levels hand raw words to each other directly, matching the fixed frame
+// engine word for word.
 struct Fixed_domain {
     using Value = std::int64_t;
     Fixed_format format;
     Raw_quantizer quantize;
-    Fixed_lane_fn kernel = fixed_lane_kernel();
 
     explicit Fixed_domain(const Fixed_format& fmt) : format(fmt), quantize(fmt) {}
 
-    struct Level : Level_lanes {
-        // Integer lowering of this cone's tape: wrap/shift parameters and
-        // the raw constant words.
-        std::unique_ptr<Fixed_tape> fixed;
-        std::vector<std::int64_t> lanes;
-    };
-
-    void bind(Level& level, const Cone& cone) const {
-        level.Level_lanes::bind(cone);
-        level.fixed = std::make_unique<Fixed_tape>(*level.tape, format);
-        level.lanes.assign(level.lane_words(), 0);
-        const std::vector<Tape_constant>& constants = level.tape->constants();
-        for (std::size_t i = 0; i < constants.size(); ++i) {
-            std::int64_t* dst = level.lanes.data() + level.lane_offset(constants[i].slot);
-            std::fill(dst, dst + kTapeLane, level.fixed->constant_raw()[i]);
-        }
+    Lane_block<std::int64_t> block(const Lane_tape& layout) const {
+        return Lane_block<std::int64_t>(layout, format);
     }
     Value load(const Frame& f, int x, int y, Boundary b) const {
         return quantize(f.sample(x, y, b));
     }
     double store(Value v) const { return from_raw(v, format); }
-    // Fixed_tape::eval_point wraps every input word on load; the lane path
-    // mirrors that (a no-op for the in-range words the region holds, but it
-    // keeps the two paths textually equivalent).
-    Value wrap_input(const Level& level, Value v) const {
-        return level.fixed->wrap()(v);
-    }
-    void run_ops(Level& level, int n) const {
-        const Bit_wrap& wrap = level.fixed->wrap();
-        const int frac = level.fixed->frac_bits();
-        const std::int64_t one = level.fixed->fixed_one();
-        for (const Tape_op& op : level.layout.ops) {
-            kernel(op, level.lanes.data(), n, wrap, frac, one);
-        }
-    }
+};
+
+// Per-level cone execution state, built once per level bind: the memoized
+// cone, its compact lane layout and the lane block over it (constants
+// pinned), and the output scatter map.
+template <class Value>
+struct Level {
+    const Cone* cone = nullptr;
+    Lane_tape layout;
+    std::optional<Lane_block<Value>> block;
+    // (s * w + yy) * w + xx -> producing tape slot, precomputed so the
+    // scatter loop never calls output_index.
+    std::vector<std::int32_t> scatter;
 };
 
 template <class Domain>
@@ -234,16 +173,19 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
     }
 
     // Per-level cone execution state, resolved once: the memoized cone, its
-    // compiled tape and compact lane layout, the domain's lane block
-    // (constants prefilled) and the output scatter map
-    // (s * w + yy) * w + xx -> producing lane slot. Cone executions below
-    // are then allocation-free in both modes.
-    std::vector<typename Domain::Level> level_exec(level_count);
+    // compact lane layout, the domain's lane block over it and the output
+    // scatter map (s * w + yy) * w + xx -> producing tape slot. Cone
+    // executions below are then allocation-free in both modes. The levels
+    // never move once bound, so each block's layout reference stays valid.
+    std::vector<Level<Value>> level_exec(level_count);
     for (std::size_t k = 0; k < level_count; ++k) {
         const Cone& cone = library.cone(w, instance.level_depths[k]);
-        typename Domain::Level& le = level_exec[k];
-        domain.bind(le, cone);
-        const std::vector<std::int32_t>& out_slots = le.tape->output_slots();
+        Level<Value>& le = level_exec[k];
+        le.cone = &cone;
+        le.layout = compact_lanes(cone.program().compiled());
+        le.block.emplace(domain.block(le.layout));
+        const std::vector<std::int32_t>& out_slots =
+            cone.program().compiled().output_slots();
         le.scatter.assign(static_cast<std::size_t>(state_count) *
                               static_cast<std::size_t>(w) * static_cast<std::size_t>(w),
                           0);
@@ -254,8 +196,8 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                                 static_cast<std::size_t>(yy)) *
                                    w +
                                static_cast<std::size_t>(xx)] =
-                        le.layout.slot_of[out_slots[static_cast<std::size_t>(
-                            cone.output_index(s, xx, yy))]];
+                        out_slots[static_cast<std::size_t>(
+                            cone.output_index(s, xx, yy))];
                 }
             }
         }
@@ -292,7 +234,8 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
 
             // --- run the levels deep-first ---------------------------------------
             for (std::size_t k = 0; k < level_count; ++k) {
-                typename Domain::Level& le = level_exec[k];
+                Level<Value>& le = level_exec[k];
+                Lane_block<Value>& block = *le.block;
                 const Cone& cone = *le.cone;
                 const Register_program& program = cone.program();
                 const Footprint out_halo = suffix[k + 1];
@@ -324,8 +267,7 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                 // path bit for bit.
                 const std::vector<int> sub_x = flush_origins(out_region.width, w);
                 const std::vector<int> sub_y = flush_origins(out_region.height, w);
-                const std::vector<Tape_input>& ports = le.tape->inputs();
-                Value* lanes = le.lanes.data();
+                const std::vector<Tape_input>& ports = block.tape().inputs();
                 for (int oy : sub_y) {
                     const int origin_y = out_region.y0 + oy;
                     for (std::size_t c0 = 0; c0 < sub_x.size(); c0 += kTapeLane) {
@@ -338,30 +280,25 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                             static_cast<long long>(program.register_count()) * n;
 
                         for (const Tape_input& port : ports) {
-                            Value* dst = lanes + le.lane_offset(port.slot);
+                            Value* dst = block.lane(port.slot);
                             const int py = origin_y + port.dy;
                             for (int l = 0; l < n; ++l) {
-                                dst[l] = domain.wrap_input(
-                                    le, current.get(port.field,
-                                                    out_region.x0 + sub_x[c0 + l] +
-                                                        port.dx,
-                                                    py));
+                                dst[l] = block.load(current.get(
+                                    port.field, out_region.x0 + sub_x[c0 + l] + port.dx,
+                                    py));
                             }
                         }
-                        domain.run_ops(le, n);
+                        block.run(n);
                         for (int s = 0; s < state_count; ++s) {
                             const int field = state_field[static_cast<std::size_t>(s)];
                             for (int yy = 0; yy < w; ++yy) {
                                 const int py = origin_y + yy;
                                 for (int xx = 0; xx < w; ++xx) {
-                                    const Value* src =
-                                        lanes +
-                                        static_cast<std::size_t>(
-                                            le.scatter[(static_cast<std::size_t>(s) * w +
-                                                        static_cast<std::size_t>(yy)) *
-                                                           w +
-                                                       static_cast<std::size_t>(xx)]) *
-                                            kTapeLane;
+                                    const Value* src = block.lane(
+                                        le.scatter[(static_cast<std::size_t>(s) * w +
+                                                    static_cast<std::size_t>(yy)) *
+                                                       w +
+                                                   static_cast<std::size_t>(xx)]);
                                     for (int l = 0; l < n; ++l) {
                                         next.set(field,
                                                  out_region.x0 + sub_x[c0 + l] + xx, py,

@@ -13,15 +13,15 @@
 // The simulator validates the whole flow end to end: its output must equal
 // the ghost-zone golden bit for bit in double mode, and the fixed-point mode
 // measures quantization error of a format choice. Both modes execute cones
-// lane-blocked over the same compiled tape, through its liveness-compacted
-// lane layout (compact_lanes, built once per level) — double mode in IEEE
-// doubles, fixed mode through the integer-lowered Fixed_tape (allocation-
-// free, byte-identical to the run_fixed_raw reference interpreter). Fixed
-// mode keeps the whole on-chip pipeline in raw Qm.f words: the off-chip
-// load quantizes each element exactly once and the level regions hand raw
-// words to each other directly, so the result matches the fixed frame
-// engine's ghost golden (sim/golden.hpp run_ghost_ir fixed overload) word
-// for word.
+// through one lane block per level (Lane_block, sim/tape_lanes.hpp) over the
+// cone tape's liveness-compacted layout, built once per level bind: up to
+// kTapeLane cone origins of one region row advance together, in IEEE
+// doubles or in the raw Qm.f words of the chosen format (allocation-free,
+// byte-identical to the run_fixed_raw reference interpreter). Fixed mode
+// keeps the whole on-chip pipeline in raw Qm.f words: the off-chip load
+// quantizes each element exactly once and the level regions hand raw words
+// to each other directly, so the result matches the fixed frame engine's
+// ghost golden (sim/golden.hpp run_ghost_ir fixed overload) word for word.
 #pragma once
 
 #include "backend/fixed_point.hpp"

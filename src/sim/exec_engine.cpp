@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
 
-#include "sim/tape_lanes.hpp"
 #include "support/cache_info.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -17,78 +15,25 @@ namespace islhls {
 
 namespace {
 
-// --- value-domain policies --------------------------------------------------------
-//
-// One policy per arithmetic domain; everything below (contexts, workspaces,
-// row execution, banding, the double-buffered driver) is templated on it, so
-// the double and fixed-point engines are the same machine over different
-// element types and op semantics — they cannot diverge structurally.
-
-// IEEE double over the compiled tape (the classic golden engine).
-struct Double_policy {
-    using Value = double;
-    // Interior style: full-width scratch rows, one op-span per operation.
-    static constexpr bool lane_interior = false;
-    const Compiled_program* cp;
-
-    explicit Double_policy(const Compiled_program& tape) : cp(&tape) {}
-
-    Value constant(std::size_t i) const { return cp->constants()[i].value; }
-    void eval_point(const Value* inputs, Value* slots) const {
-        cp->eval_point(inputs, slots);
-    }
-};
-
-// Raw Qm.f words over the integer-lowered tape. Carries the format-derived
-// operator parameters (wrap, fraction shift, raw 1.0) resolved once per run,
-// exactly like Fixed_exec's lane loops.
-struct Fixed_policy {
-    using Value = std::int64_t;
-    // Interior style: compact kTapeLane-wide lane blocks through the shared
-    // per-ISA lane kernels (sim/tape_lanes.hpp) — the intermediates of the
-    // whole tape fit in L1 regardless of frame width, and the int64
-    // arithmetic runs the widest vector body the host supports.
-    static constexpr bool lane_interior = true;
-    const Compiled_program* cp;
-    const Fixed_tape* tape;
-    Bit_wrap wrap;
-    int frac;
-    std::int64_t one;
-    Fixed_lane_fn lane_fn;
-
-    explicit Fixed_policy(const Fixed_tape& t)
-        : cp(&t.tape()),
-          tape(&t),
-          wrap(t.wrap()),
-          frac(t.frac_bits()),
-          one(t.fixed_one()),
-          lane_fn(fixed_lane_kernel()) {}
-
-    Value constant(std::size_t i) const { return tape->constant_raw()[i]; }
-    void eval_point(const Value* inputs, Value* slots) const {
-        tape->eval_point(inputs, slots);
-    }
-};
-
 // Everything one step execution needs, fixed before the row loops start.
-// The banded path copies this per band and retargets the field bindings at
-// every fused level; `field_row_off` / `out_row_off` translate full-frame
-// row coordinates into band-buffer rows (zero when a binding points at a
-// whole frame).
-template <class Policy>
+// The value domain is the lane block's: doubles, or raw Qm.f words of one
+// format. The banded path copies this per band and retargets the field
+// bindings at every fused level; `field_row_off` / `out_row_off` translate
+// full-frame row coordinates into band-buffer rows (zero when a binding
+// points at a whole frame).
+template <class Value>
 struct Step_context {
-    using Value = typename Policy::Value;
-    const Policy* policy = nullptr;
+    // The block every workspace copies: the engine's lane layout with the
+    // run's constants pinned.
+    const Lane_block<Value>* block = nullptr;
     const Compiled_program* cp = nullptr;
-    const std::vector<int>* scratch_index = nullptr;
-    int scratch_rows = 0;
-    int left_margin = 0;
-    int right_margin = 0;
     int width = 0;
     int height = 0;
-    // Interior column-panel width; <= 0 runs the whole interior as one
-    // panel. Panels only split the x loop, so every width is byte-identical.
-    int panel_cols = 0;
+    // Interior columns [x0, x1) read in-range for every input offset; the
+    // border columns (the rest) resolve their reads through the boundary.
+    int x0 = 0;
+    int x1 = 0;
+    std::vector<int> border_cols;
     Boundary boundary = Boundary::clamp;
     std::vector<const Value*> field_base;  // per pool field index
     std::vector<int> field_row_off;        // per pool field index
@@ -104,322 +49,123 @@ struct Step_context {
     std::vector<int> state_pool_field;
 };
 
-// Per-thread scratch bound to one frame width: one row per operation and
-// constant slot, a zero row backing Boundary::zero reads of out-of-range
-// rows, and the scalar buffers the border columns use. Constant rows are
-// filled once at bind time — slots are single-assignment, so they survive
-// every later row execution. The two `band` buffers ping-pong the interim
-// levels of temporal tiling; they are sized lazily per band (edge bands
-// under Boundary::periodic can need more rows than interior bands).
-template <class Policy>
+// Per-worker state: a private copy of the lane block, the source row of
+// every input port for the current row, and the two `band` buffers that
+// ping-pong the interim levels of temporal tiling (sized lazily per band:
+// edge bands under Boundary::periodic can need more rows than interior
+// bands).
+template <class Value>
 struct Workspace {
-    using Value = typename Policy::Value;
-    std::vector<Value> scratch;
-    std::vector<const Value*> row;  // per slot: operand row base pointer;
-                                    // the value at column x is row[slot][x + col_off[slot]]
-    std::vector<int> col_off;       // per slot: static dx (inputs) or 0
-    std::vector<Value> zero_row;
-    std::vector<Value> point_slots;
-    std::vector<Value> point_inputs;
-    // Lane-interior policies: kTapeLane contiguous samples per tape slot
-    // (lanes[slot * kTapeLane + lane]), constant lanes filled at bind time.
-    std::vector<Value> lanes;
+    explicit Workspace(const Step_context<Value>& c)
+        : block(*c.block), row(c.cp->inputs().size(), nullptr) {}
+
+    Lane_block<Value> block;
+    std::vector<const Value*> row;  // per input port; nullptr = a zero row
     std::array<std::vector<Value>, 2> band;
 };
 
-template <class Policy>
-void bind_workspace(Workspace<Policy>& ws, const Step_context<Policy>& c) {
-    using Value = typename Policy::Value;
-    const auto w = static_cast<std::size_t>(c.width);
-    const auto slots = static_cast<std::size_t>(c.cp->slot_count());
-    ws.row.assign(slots, nullptr);
-    ws.col_off.assign(slots, 0);
-    for (const Tape_input& in : c.cp->inputs()) {
-        ws.col_off[static_cast<std::size_t>(in.slot)] = in.dx;
-    }
-    ws.zero_row.assign(w, Value{});
-    ws.point_slots.assign(slots, Value{});
-    ws.point_inputs.assign(c.cp->inputs().size(), Value{});
-    const std::vector<Tape_constant>& constants = c.cp->constants();
-    if constexpr (Policy::lane_interior) {
-        // Lane interior: the compact lane block replaces the full-width
-        // scratch rows; constant lanes are single-assignment, filled once.
-        ws.lanes.assign(slots * static_cast<std::size_t>(kTapeLane), Value{});
-        for (std::size_t i = 0; i < constants.size(); ++i) {
-            Value* r = ws.lanes.data() +
-                       static_cast<std::size_t>(constants[i].slot) * kTapeLane;
-            std::fill(r, r + kTapeLane, c.policy->constant(i));
-        }
-    } else {
-        ws.scratch.assign(static_cast<std::size_t>(c.scratch_rows) * w, Value{});
-        for (std::size_t slot = 0; slot < slots; ++slot) {
-            const int idx = (*c.scratch_index)[slot];
-            if (idx >= 0) {
-                ws.row[slot] = ws.scratch.data() + static_cast<std::size_t>(idx) * w;
-            }
-        }
-        for (std::size_t i = 0; i < constants.size(); ++i) {
-            Value* r =
-                ws.scratch.data() +
-                static_cast<std::size_t>((*c.scratch_index)[constants[i].slot]) * w;
-            std::fill(r, r + w, c.policy->constant(i));
-        }
-    }
-}
-
-// Reusable workspaces for the parallel row blocks; scratch contents never
-// influence results, so which worker gets which workspace is irrelevant to
-// the determinism contract.
-template <class Policy>
+// Reusable workspaces for the row blocks and bands; lane and band contents
+// never influence results, so which worker gets which workspace is
+// irrelevant to the determinism contract.
+template <class Value>
 class Workspace_pool {
 public:
-    explicit Workspace_pool(const Step_context<Policy>& context) : context_(&context) {}
+    explicit Workspace_pool(const Step_context<Value>& context) : context_(&context) {}
 
-    std::unique_ptr<Workspace<Policy>> acquire() {
+    std::unique_ptr<Workspace<Value>> acquire() {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             if (!free_.empty()) {
-                std::unique_ptr<Workspace<Policy>> ws = std::move(free_.back());
+                std::unique_ptr<Workspace<Value>> ws = std::move(free_.back());
                 free_.pop_back();
                 return ws;
             }
         }
-        auto ws = std::make_unique<Workspace<Policy>>();
-        bind_workspace(*ws, *context_);
-        return ws;
+        return std::make_unique<Workspace<Value>>(*context_);
     }
 
-    void release(std::unique_ptr<Workspace<Policy>> ws) {
+    void release(std::unique_ptr<Workspace<Value>> ws) {
         const std::lock_guard<std::mutex> lock(mutex_);
         free_.push_back(std::move(ws));
     }
 
 private:
-    const Step_context<Policy>* context_;
+    const Step_context<Value>* context_;
     std::mutex mutex_;
-    std::vector<std::unique_ptr<Workspace<Policy>>> free_;
+    std::vector<std::unique_ptr<Workspace<Value>>> free_;
 };
 
-// Scalar fallback for one border column: every read goes through the
-// Boundary policy, exactly like the reference interpreter (raw 0 backs
-// Boundary::zero in the fixed domain, like run_fixed_raw's gathered zeros).
-template <class Policy>
-void eval_border_column(const Step_context<Policy>& c, Workspace<Policy>& ws, int x,
-                        int y) {
-    using Value = typename Policy::Value;
-    const std::vector<Tape_input>& inputs = c.cp->inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const Tape_input& in = inputs[i];
-        const auto f = static_cast<std::size_t>(in.field);
-        const int rx = resolve_coordinate(x + in.dx, c.width, c.boundary);
-        Value v{};
-        if (c.field_direct_rows[f]) {
-            // Wrapped-halo band buffer: the read row sits at its unclamped
-            // coordinate (possibly negative) — no boundary resolution, the
-            // buffer row already holds the torus content.
-            const int ry = y + in.dy;
-            if (rx >= 0) {
-                v = c.field_base[f][static_cast<std::size_t>(ry - c.field_row_off[f]) *
-                                        c.width +
-                                    rx];
-            }
-        } else {
-            const int ry = resolve_coordinate(y + in.dy, c.height, c.boundary);
-            if (rx >= 0 && ry >= 0) {
-                v = c.field_base[f][static_cast<std::size_t>(ry - c.field_row_off[f]) *
-                                        c.width +
-                                    rx];
-            }
-        }
-        ws.point_inputs[i] = v;
-    }
-    c.policy->eval_point(ws.point_inputs.data(), ws.point_slots.data());
-    const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    for (std::size_t s = 0; s < c.out_base.size(); ++s) {
-        c.out_base[s][static_cast<std::size_t>(y - c.out_row_off) * c.width + x] =
-            ws.point_slots[static_cast<std::size_t>(out_slots[s])];
-    }
-}
-
-// One tape operation over the interior span [x0, x1) of the current row.
-// Each case is a single loop of one arithmetic operation over contiguous
-// data — the form the compiler auto-vectorizes. The arithmetic matches
-// apply_op() case for case, so results are bit-identical to the scalar path.
+// Rows [y0, y1) of one step, through the worker's lane block. Per row:
 //
-// Operands are addressed as base[x + col_off]: the per-slot column offset
-// (dx for input slots, 0 otherwise) is applied at the indexing site, never
-// folded into the base pointer — x + col_off is in [0, width) for every
-// interior x, so no pointer outside its allocation is ever formed.
-void run_op_span(const Double_policy&, const Tape_op& op,
-                 const Workspace<Double_policy>& ws, double* __restrict dst, int x0,
-                 int x1) {
-    const double* a = ws.row[static_cast<std::size_t>(op.src[0])];
-    const int oa = ws.col_off[static_cast<std::size_t>(op.src[0])];
-    const double* b = nullptr;
-    int ob = 0;
-    if (op.src_count > 1) {
-        b = ws.row[static_cast<std::size_t>(op.src[1])];
-        ob = ws.col_off[static_cast<std::size_t>(op.src[1])];
-    }
-    switch (op.kind) {
-        case Op_kind::add:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] + b[x + ob];
-            break;
-        case Op_kind::sub:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] - b[x + ob];
-            break;
-        case Op_kind::mul:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] * b[x + ob];
-            break;
-        case Op_kind::div:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] / b[x + ob];
-            break;
-        case Op_kind::min_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::fmin(a[x + oa], b[x + ob]);
-            break;
-        case Op_kind::max_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::fmax(a[x + oa], b[x + ob]);
-            break;
-        case Op_kind::neg:
-            for (int x = x0; x < x1; ++x) dst[x] = -a[x + oa];
-            break;
-        case Op_kind::abs_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::fabs(a[x + oa]);
-            break;
-        case Op_kind::sqrt_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::sqrt(a[x + oa]);
-            break;
-        case Op_kind::lt:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] < b[x + ob] ? 1.0 : 0.0;
-            break;
-        case Op_kind::le:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] <= b[x + ob] ? 1.0 : 0.0;
-            break;
-        case Op_kind::eq:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] == b[x + ob] ? 1.0 : 0.0;
-            break;
-        case Op_kind::select: {
-            const double* t = ws.row[static_cast<std::size_t>(op.src[1])];
-            const int ot = ws.col_off[static_cast<std::size_t>(op.src[1])];
-            const double* f = ws.row[static_cast<std::size_t>(op.src[2])];
-            const int of = ws.col_off[static_cast<std::size_t>(op.src[2])];
-            for (int x = x0; x < x1; ++x) {
-                dst[x] = a[x + oa] != 0.0 ? t[x + ot] : f[x + of];
-            }
-            break;
-        }
-        case Op_kind::constant:
-        case Op_kind::input:
-            throw Internal_error("leaf kind on the operation tape");
-    }
-}
-
-// Interior panel [p0, p1) of one row, scratch-row style (double domain):
-// one op-span per tape operation into the full-width scratch rows, then the
-// panel's output sub-spans are copied out of the producing rows.
-void exec_interior(const Step_context<Double_policy>& c, Workspace<Double_policy>& ws,
-                   int y, int p0, int p1) {
-    const int w = c.width;
-    const std::vector<Tape_op>& ops = c.cp->ops();
-    const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    for (const Tape_op& op : ops) {
-        double* dst = ws.scratch.data() +
-                      static_cast<std::size_t>(
-                          (*c.scratch_index)[static_cast<std::size_t>(op.dest)]) *
-                          w;
-        run_op_span(*c.policy, op, ws, dst, p0, p1);
-    }
-    for (std::size_t s = 0; s < c.out_base.size(); ++s) {
-        const std::size_t slot = static_cast<std::size_t>(out_slots[s]);
-        const double* r = ws.row[slot] + (p0 + ws.col_off[slot]);
-        std::memcpy(c.out_base[s] + static_cast<std::size_t>(y - c.out_row_off) * w + p0,
-                    r, static_cast<std::size_t>(p1 - p0) * sizeof(double));
-    }
-}
-
-// Interior panel [p0, p1) of one row, lane-block style (fixed domain): the
-// panel advances in kTapeLane-wide chunks through the shared per-ISA lane
-// kernels. Per chunk the input slots are copied (contiguously — the static
-// dx offset makes the source span contiguous) into the compact lane block,
-// one kernel call executes each tape operation over the live lanes, and the
-// output lanes are copied to the destination rows. The kernel cases match
-// apply_op_fixed() one for one (like Fixed_exec's batch path), so the raw
-// words stay bit-identical to the run_fixed_raw reference at every chunk
-// and panel width. Frame words are already wrapped (quantization and every
-// producing op wrap), so the gather needs no re-wrap, exactly like the old
-// full-width span path.
-void exec_interior(const Step_context<Fixed_policy>& c, Workspace<Fixed_policy>& ws,
-                   int y, int p0, int p1) {
+//   - each input port's source row is resolved once (boundary policy on
+//     the row coordinate; nullptr for a Boundary::zero row off the frame);
+//   - the interior advances in kTapeLane-wide chunks: the static dx makes
+//     each port's source span contiguous, so the gather is one memcpy per
+//     port, then one kernel call over the tape, then one memcpy per output;
+//   - the border columns run as one more pass (in kTapeLane chunks should a
+//     stencil ever be that wide), every read resolved through the boundary
+//     policy like the reference interpreter (0 backs Boundary::zero, raw 0
+//     in the fixed domain, like run_fixed_raw's gathered zeros).
+//
+// Frame words are already in the domain (fixed words are quantized and
+// every producing op wraps), so neither gather re-wraps. Every cell runs the
+// same op sequence on the same operands whatever its chunk, so results are
+// bit-identical to the scalar oracles at any width.
+template <class Value>
+void exec_rows(const Step_context<Value>& c, Workspace<Value>& ws, int y0, int y1) {
     const int w = c.width;
     const std::vector<Tape_input>& inputs = c.cp->inputs();
-    const std::vector<Tape_op>& ops = c.cp->ops();
     const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    const Fixed_lane_fn kernel = c.policy->lane_fn;
-    const Bit_wrap wrap = c.policy->wrap;
-    const int frac = c.policy->frac;
-    const std::int64_t one = c.policy->one;
-    std::int64_t* lanes = ws.lanes.data();
-    const std::size_t out_row =
-        static_cast<std::size_t>(y - c.out_row_off) * static_cast<std::size_t>(w);
-    for (int xb = p0; xb < p1; xb += kTapeLane) {
-        const int n = std::min(kTapeLane, p1 - xb);
-        for (const Tape_input& in : inputs) {
-            const std::size_t slot = static_cast<std::size_t>(in.slot);
-            std::memcpy(lanes + slot * kTapeLane, ws.row[slot] + (xb + ws.col_off[slot]),
-                        static_cast<std::size_t>(n) * sizeof(std::int64_t));
-        }
-        for (const Tape_op& op : ops) kernel(op, lanes, n, wrap, frac, one);
-        for (std::size_t s = 0; s < c.out_base.size(); ++s) {
-            const std::size_t slot = static_cast<std::size_t>(out_slots[s]);
-            std::memcpy(c.out_base[s] + out_row + xb, lanes + slot * kTapeLane,
-                        static_cast<std::size_t>(n) * sizeof(std::int64_t));
-        }
-    }
-}
-
-template <class Policy>
-void exec_rows(const Step_context<Policy>& c, Workspace<Policy>& ws, int y0, int y1) {
-    using Value = typename Policy::Value;
-    const int w = c.width;
-    const int h = c.height;
-    const std::vector<Tape_input>& inputs = c.cp->inputs();
-    // Interior columns: [x0, x1) reads in-range for every input offset.
-    const int x0 = std::min(c.left_margin, w);
-    const int x1 = std::max(x0, w - c.right_margin);
-    const int panel = c.panel_cols > 0 ? c.panel_cols : std::max(x1 - x0, 1);
+    Lane_block<Value>& block = ws.block;
+    const auto border = static_cast<int>(c.border_cols.size());
 
     for (int y = y0; y < y1; ++y) {
-        for (int x = 0; x < x0; ++x) eval_border_column(c, ws, x, y);
-        if (x1 > x0) {
-            // Resolve the input row bases once per row; the static column
-            // offsets bound in the workspace complete the addressing.
-            // Direct-row bindings (wrapped-halo band buffers) skip the
-            // boundary policy — they hold the unclamped row itself.
-            for (const Tape_input& in : inputs) {
-                const auto f = static_cast<std::size_t>(in.field);
-                const Value* base;
-                if (c.field_direct_rows[f]) {
-                    base = c.field_base[f] +
-                           static_cast<std::size_t>(y + in.dy - c.field_row_off[f]) * w;
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            const Tape_input& in = inputs[i];
+            const auto f = static_cast<std::size_t>(in.field);
+            const int ry = c.field_direct_rows[f]
+                               ? y + in.dy
+                               : resolve_coordinate(y + in.dy, c.height, c.boundary);
+            ws.row[i] = c.field_direct_rows[f] || ry >= 0
+                            ? c.field_base[f] +
+                                  static_cast<std::size_t>(ry - c.field_row_off[f]) * w
+                            : nullptr;
+        }
+        const std::size_t out_row = static_cast<std::size_t>(y - c.out_row_off) * w;
+
+        for (int xb = c.x0; xb < c.x1; xb += kTapeLane) {
+            const int n = std::min(kTapeLane, c.x1 - xb);
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                if (ws.row[i]) {
+                    block.copy_in(inputs[i].slot, ws.row[i] + (xb + inputs[i].dx), n);
                 } else {
-                    const int ry = resolve_coordinate(y + in.dy, h, c.boundary);
-                    base = ry < 0
-                               ? ws.zero_row.data()
-                               : c.field_base[f] +
-                                     static_cast<std::size_t>(ry - c.field_row_off[f]) *
-                                         w;
+                    Value* dst = block.lane(inputs[i].slot);
+                    std::fill(dst, dst + n, Value{});
                 }
-                ws.row[static_cast<std::size_t>(in.slot)] = base;
             }
-            // Column panels: each panel runs the whole tape before moving
-            // right, bounding the per-operation working set; the split only
-            // partitions the x loop, so results are byte-identical at any
-            // panel width.
-            for (int p0 = x0; p0 < x1; p0 += panel) {
-                exec_interior(c, ws, y, p0, std::min(x1, p0 + panel));
+            block.run(n);
+            for (std::size_t s = 0; s < c.out_base.size(); ++s) {
+                block.copy_out(out_slots[s], c.out_base[s] + out_row + xb, n);
             }
         }
-        for (int x = x1; x < w; ++x) eval_border_column(c, ws, x, y);
+
+        for (int b0 = 0; b0 < border; b0 += kTapeLane) {
+            const int n = std::min(kTapeLane, border - b0);
+            const int* cols = c.border_cols.data() + b0;
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                Value* dst = block.lane(inputs[i].slot);
+                const Value* row = ws.row[i];
+                for (int l = 0; l < n; ++l) {
+                    const int rx = resolve_coordinate(cols[l] + inputs[i].dx, w, c.boundary);
+                    dst[l] = row && rx >= 0 ? row[rx] : Value{};
+                }
+            }
+            block.run(n);
+            for (std::size_t s = 0; s < c.out_base.size(); ++s) {
+                const Value* src = block.lane(out_slots[s]);
+                for (int l = 0; l < n; ++l) c.out_base[s][out_row + cols[l]] = src[l];
+            }
+        }
     }
 }
 
@@ -518,10 +264,9 @@ std::vector<Band_plan> plan_bands(int h, int band_rows, int depth, int up, int d
 // interim levels index them at the unclamped row with no boundary
 // resolution, while level-1 reads and const-field reads still wrap against
 // the frame.
-template <class Policy>
-void exec_band(const Step_context<Policy>& c, Workspace<Policy>& ws,
+template <class Value>
+void exec_band(const Step_context<Value>& c, Workspace<Value>& ws,
                const Band_plan& plan) {
-    using Value = typename Policy::Value;
     const int depth = static_cast<int>(plan.level.size()) - 1;
     const auto w = static_cast<std::size_t>(c.width);
     const std::size_t stride = static_cast<std::size_t>(plan.interim_rows) * w;
@@ -532,7 +277,7 @@ void exec_band(const Step_context<Policy>& c, Workspace<Policy>& ws,
         }
     }
 
-    Step_context<Policy> local = c;
+    Step_context<Value> local = c;
     const bool direct = c.boundary == Boundary::periodic;
     for (int k = 1; k <= depth; ++k) {
         const Band_level out = plan.level[static_cast<std::size_t>(k)];
@@ -567,7 +312,6 @@ void exec_band(const Step_context<Policy>& c, Workspace<Policy>& ws,
 struct Resolved_budgets {
     std::size_t tile_bytes;
     std::size_t band_bytes;
-    std::size_t panel_bytes;
 };
 
 Resolved_budgets resolve_budgets(const Exec_budgets& pinned) {
@@ -575,7 +319,6 @@ Resolved_budgets resolve_budgets(const Exec_budgets& pinned) {
     Resolved_budgets r;
     r.tile_bytes = pinned.tile_bytes ? pinned.tile_bytes : cache.llc_bytes;
     r.band_bytes = pinned.band_bytes ? pinned.band_bytes : cache.llc_bytes / 4;
-    r.panel_bytes = pinned.panel_bytes ? pinned.panel_bytes : cache.l1d_bytes / 2;
     return r;
 }
 
@@ -607,48 +350,60 @@ int auto_band_rows(int width, int h, int depth, int states, int growth, int thre
     return static_cast<int>(std::clamp(rows, 1L, static_cast<long>(h)));
 }
 
-// Auto panel width for scratch-row interiors: when one interior sweep's op
-// working set (every scratch row across the panel) would spill the panel
-// budget, split the interior into panels sized to fit, rounded down to a
-// multiple of the lane width. Returns 0 (unpaneled) while the whole width
-// fits. Lane-interior policies never need this — their working set is the
-// lane block itself.
-int auto_panel_cols(int width, int scratch_rows, std::size_t value_bytes,
-                    std::size_t panel_budget) {
-    const std::size_t col_bytes =
-        std::max<std::size_t>(static_cast<std::size_t>(scratch_rows), 1) * value_bytes;
-    if (static_cast<std::size_t>(width) * col_bytes <= panel_budget) return 0;
-    long cols = static_cast<long>(panel_budget / col_bytes);
-    cols -= cols % kTapeLane;
-    return static_cast<int>(std::max(cols, static_cast<long>(kTapeLane)));
-}
-
 // --- double-buffered driver -------------------------------------------------------
+
+// The context of one run over a `w` x `h` frame, with every binding still
+// unset: the caller fills field_base / out_base per parity.
+template <class Value>
+Step_context<Value> make_context(const Stencil_step& step, const Lane_block<Value>& block,
+                                 int w, int h, Boundary b, int left_margin,
+                                 int right_margin) {
+    const Expr_pool& pool = step.pool();
+    Step_context<Value> context;
+    context.block = &block;
+    context.cp = &block.tape();
+    context.width = w;
+    context.height = h;
+    context.x0 = std::min(left_margin, w);
+    context.x1 = std::max(context.x0, w - right_margin);
+    for (int x = 0; x < w; ++x) {
+        if (x < context.x0 || x >= context.x1) context.border_cols.push_back(x);
+    }
+    context.boundary = b;
+    context.field_base.resize(static_cast<std::size_t>(pool.field_count()));
+    context.field_row_off.assign(static_cast<std::size_t>(pool.field_count()), 0);
+    context.field_direct_rows.assign(static_cast<std::size_t>(pool.field_count()), 0);
+    context.out_base.resize(step.state_fields().size());
+    context.state_pool_field.reserve(step.state_fields().size());
+    for (const std::string& name : step.state_fields()) {
+        context.state_pool_field.push_back(pool.find_field(name));
+    }
+    return context;
+}
 
 // Runs `iterations` steps over a pair of pre-bound frame buffers. `bases[p]`
 // holds the per-pool-field base pointers of buffer parity p, `outs[p]` the
 // state-field output pointers written while parity p is current (i.e. into
 // the other buffer); const fields point at the same storage in both
 // parities when the caller shares it. Returns the parity holding the final
-// frames. `context` carries everything else (the policy, margins, scratch
-// layout) and is identical for the whole run apart from the per-block
+// frames. `context` carries everything else (the lane block, the border
+// columns) and is identical for the whole run apart from the per-block
 // pointer rebinding done here.
-template <class Policy>
-int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
+template <class Value>
+int run_buffers(Step_context<Value>& context, int iterations, Boundary b,
                 const Exec_options& options, int state_up, int state_down,
-                const std::array<std::vector<const typename Policy::Value*>, 2>& bases,
-                const std::array<std::vector<typename Policy::Value*>, 2>& outs) {
-    using Value = typename Policy::Value;
+                const std::array<std::vector<const Value*>, 2>& bases,
+                const std::array<std::vector<Value*>, 2>& outs) {
     const int w = context.width;
     const int h = context.height;
 
     const int total_threads = options.pool ? options.pool->thread_count()
                                            : resolve_thread_count(options.threads);
 
-    // Resolve the tiling: fused depth first, band height second, panel
-    // width last. Budgets come pinned from the options or from the probed
-    // cache topology; either way they only pick the schedule — every
-    // (depth, band, panel) choice is byte-identical.
+    // Resolve the tiling: fused depth first, band height second. Budgets
+    // come pinned from the options or from the probed cache topology;
+    // either way they only pick the schedule — every (depth, band) choice
+    // is byte-identical.
     const Resolved_budgets budgets = resolve_budgets(options.budgets);
     const std::size_t state_bytes =
         static_cast<std::size_t>(w) * static_cast<std::size_t>(h) * sizeof(Value) *
@@ -668,12 +423,6 @@ int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
         }
         band_rows = std::clamp(band_rows, 1, h);
     }
-    int panel = options.panel_cols;
-    if (panel <= 0 && depth > 1 && !Policy::lane_interior) {
-        panel = auto_panel_cols(w, context.scratch_rows, sizeof(Value),
-                                budgets.panel_bytes);
-    }
-    context.panel_cols = panel;
 
     // A run has at most two distinct fused depths: the full blocks and one
     // shorter tail block. Plan both up front; the plans are reused across
@@ -687,7 +436,7 @@ int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
     }
 
     // The row/band fan-out: an external pool when the caller shares one,
-    // otherwise a pool owned by this run.
+    // otherwise a pool owned by this run; serial runs loop in place.
     std::optional<Thread_pool> own_pool;
     Thread_pool* thread_pool = nullptr;
     if (total_threads > 1 && h > 1) {
@@ -698,10 +447,19 @@ int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
             thread_pool = &*own_pool;
         }
     }
-
-    Workspace<Policy> serial_ws;
-    if (!thread_pool) bind_workspace(serial_ws, context);
-    Workspace_pool<Policy> workspaces(context);
+    Workspace_pool<Value> workspaces(context);
+    auto fan_out = [&](std::size_t count, const auto& body) {
+        auto one = [&](std::size_t i) {
+            std::unique_ptr<Workspace<Value>> ws = workspaces.acquire();
+            body(*ws, i);
+            workspaces.release(std::move(ws));
+        };
+        if (thread_pool) {
+            thread_pool->for_each_index(count, one);
+        } else {
+            for (std::size_t i = 0; i < count; ++i) one(i);
+        }
+    };
 
     int cur = 0;
     int it = 0;
@@ -712,35 +470,22 @@ int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
         if (block <= 1) {
             // Classic untiled sweep: one pass over the frame, row blocks
             // fanned across the pool.
-            if (!thread_pool) {
-                exec_rows(context, serial_ws, 0, h);
-            } else {
-                const std::size_t blocks = static_cast<std::size_t>(
-                    std::min(h, thread_pool->thread_count() * 4));
-                thread_pool->for_each_index(blocks, [&](std::size_t i) {
-                    std::unique_ptr<Workspace<Policy>> ws = workspaces.acquire();
-                    const int b0 =
-                        static_cast<int>(i * static_cast<std::size_t>(h) / blocks);
-                    const int b1 = static_cast<int>((i + 1) *
-                                                    static_cast<std::size_t>(h) / blocks);
-                    exec_rows(context, *ws, b0, b1);
-                    workspaces.release(std::move(ws));
-                });
-            }
+            const std::size_t blocks =
+                thread_pool ? static_cast<std::size_t>(
+                                  std::min(h, thread_pool->thread_count() * 4))
+                            : 1;
+            fan_out(blocks, [&](Workspace<Value>& ws, std::size_t i) {
+                const int b0 = static_cast<int>(i * static_cast<std::size_t>(h) / blocks);
+                const int b1 =
+                    static_cast<int>((i + 1) * static_cast<std::size_t>(h) / blocks);
+                exec_rows(context, ws, b0, b1);
+            });
         } else {
             const std::vector<Band_plan>& plans =
                 block == depth ? full_plans : tail_plans;
-            if (!thread_pool) {
-                for (const Band_plan& plan : plans) {
-                    exec_band(context, serial_ws, plan);
-                }
-            } else {
-                thread_pool->for_each_index(plans.size(), [&](std::size_t i) {
-                    std::unique_ptr<Workspace<Policy>> ws = workspaces.acquire();
-                    exec_band(context, *ws, plans[i]);
-                    workspaces.release(std::move(ws));
-                });
-            }
+            fan_out(plans.size(), [&](Workspace<Value>& ws, std::size_t i) {
+                exec_band(context, ws, plans[i]);
+            });
         }
         cur ^= 1;
         it += block;
@@ -751,15 +496,10 @@ int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
 }  // namespace
 
 Exec_engine::Exec_engine(const Stencil_step& step)
-    : step_(&step), program_(build_program(step.pool(), step.updates())) {
+    : step_(&step),
+      program_(build_program(step.pool(), step.updates())),
+      layout_(compact_lanes(program_.compiled())) {
     const Compiled_program& cp = program_.compiled();
-    scratch_index_.assign(static_cast<std::size_t>(cp.slot_count()), -1);
-    for (const Tape_op& op : cp.ops()) {
-        scratch_index_[static_cast<std::size_t>(op.dest)] = scratch_rows_++;
-    }
-    for (const Tape_constant& k : cp.constants()) {
-        scratch_index_[static_cast<std::size_t>(k.slot)] = scratch_rows_++;
-    }
     left_margin_ = std::max(0, -cp.min_dx());
     right_margin_ = std::max(0, cp.max_dx());
     // The per-iteration band halo grows with the advancing fields only:
@@ -809,25 +549,9 @@ Frame_set Exec_engine::run(const Frame_set& initial, int iterations, Boundary b,
     }
     if (w == 0 || h == 0) return buf_a;
 
-    const Double_policy policy(program_.compiled());
-    Step_context<Double_policy> context;
-    context.policy = &policy;
-    context.cp = &program_.compiled();
-    context.scratch_index = &scratch_index_;
-    context.scratch_rows = scratch_rows_;
-    context.left_margin = left_margin_;
-    context.right_margin = right_margin_;
-    context.width = w;
-    context.height = h;
-    context.boundary = b;
-    context.field_base.resize(static_cast<std::size_t>(pool.field_count()));
-    context.field_row_off.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.field_direct_rows.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.out_base.resize(step_->state_fields().size());
-    context.state_pool_field.reserve(step_->state_fields().size());
-    for (const std::string& name : step_->state_fields()) {
-        context.state_pool_field.push_back(pool.find_field(name));
-    }
+    const Lane_block<double> block(layout_);
+    Step_context<double> context =
+        make_context(*step_, block, w, h, b, left_margin_, right_margin_);
     // Both buffers were built with identical field order, so one positional
     // mapping (pool field -> buffer index) serves every rebinding below.
     std::array<std::vector<const double*>, 2> bases;
@@ -896,27 +620,10 @@ Fixed_frame_result Exec_engine::run_fixed(const Frame_set& initial, int iteratio
     };
     if (iterations <= 0 || w == 0 || h == 0) return finish(std::move(state_a));
 
-    // One integer lowering per run; every fused level executes it.
-    const Fixed_tape tape(program_.compiled(), format);
-    const Fixed_policy policy(tape);
-    Step_context<Fixed_policy> context;
-    context.policy = &policy;
-    context.cp = &program_.compiled();
-    context.scratch_index = &scratch_index_;
-    context.scratch_rows = scratch_rows_;
-    context.left_margin = left_margin_;
-    context.right_margin = right_margin_;
-    context.width = w;
-    context.height = h;
-    context.boundary = b;
-    context.field_base.resize(static_cast<std::size_t>(pool.field_count()));
-    context.field_row_off.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.field_direct_rows.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.out_base.resize(step_->state_fields().size());
-    context.state_pool_field.reserve(step_->state_fields().size());
-    for (const std::string& name : step_->state_fields()) {
-        context.state_pool_field.push_back(pool.find_field(name));
-    }
+    // The constants quantize once per run; every worker copies the block.
+    const Lane_block<std::int64_t> block(layout_, format);
+    Step_context<std::int64_t> context =
+        make_context(*step_, block, w, h, b, left_margin_, right_margin_);
     std::array<std::vector<const std::int64_t*>, 2> bases;
     std::array<std::vector<std::int64_t*>, 2> outs;
     bases[0].resize(static_cast<std::size_t>(pool.field_count()));

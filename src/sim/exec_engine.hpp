@@ -1,22 +1,25 @@
-// Vectorized, allocation-free execution engine for stencil steps.
+// Allocation-free execution engine for stencil steps.
 //
 // The legacy golden path interpreted the step program per pixel: for every
 // element it looked fields up by name, resolved every read through the
 // boundary policy, and heap-allocated a full instruction trace (see
-// run_ir_reference in sim/golden.hpp). This engine executes the
-// scanline-compiled tape (ir/compiled.hpp) structure-of-arrays over whole
-// frame rows instead:
+// run_ir_reference in sim/golden.hpp). This engine runs the compiled tape
+// (ir/compiled.hpp) through the lane executor of sim/tape_lanes.hpp instead,
+// over whole frame rows:
 //
-//   - field base pointers and strides are resolved once per step, not once
-//     per pixel;
-//   - the interior of each row (where no read crosses the frame edge) runs
-//     with unclamped pointer arithmetic — each tape operation is one tight,
-//     auto-vectorizable loop over the row;
-//   - the border columns fall back to a scalar pass that resolves reads with
-//     the Boundary policy, bit-identical to the reference interpreter;
-//   - per-thread scratch rows are reused across rows and iterations (no
-//     allocation inside the pixel loop), and iteration double-buffers two
-//     frame sets instead of copy-constructing one per timestep.
+//   - field base pointers and strides are resolved once per step, and each
+//     input port's source row once per row;
+//   - the interior of each row (where no read crosses the frame edge)
+//     advances in kTapeLane-wide lane blocks: one contiguous gather per
+//     port, one per-ISA kernel call over the whole tape, one copy per output;
+//   - the border columns of each row are gathered with boundary-resolved
+//     reads and run as one more lane-block pass, bit-identical to the
+//     reference interpreter;
+//   - the tape's liveness-compacted layout (compact_lanes) is built once per
+//     engine; every worker copies a lane block over it, so the per-op
+//     working set is the block (a few KiB for a step program) at any frame
+//     width, and iteration double-buffers two frame sets instead of
+//     copy-constructing one per timestep.
 //
 // Temporal tiling (Exec_options::tile_iterations > 1) additionally fuses T
 // iterations into one sweep over row bands, a la combined spatial/temporal
@@ -26,52 +29,39 @@
 // Band edges grow trapezoidally — level k of a band recomputes the halo rows
 // level k+1 needs, sized from the per-field read extents the compiled tape
 // records — and every row at every level is computed by exactly the same
-// row code as the untiled sweep (interior fast path + scalar border pass),
-// so the result is byte-identical to the double-buffered path for every
-// boundary mode, tile depth, band height and thread count. Under
-// Boundary::periodic the interim levels of a band keep UNCLAMPED row
-// intervals: a band touching a frame edge carries a wrapped halo — its
-// buffer rows extend past the frame edge and hold the opposite edge's
-// content (on a torus, row r and row r mod h are the same row at every
-// fused level), reads between interim levels index the band buffer
+// row code as the untiled sweep, so the result is byte-identical to the
+// double-buffered path for every boundary mode, tile depth, band height and
+// thread count. Under Boundary::periodic the interim levels of a band keep
+// UNCLAMPED row intervals: a band touching a frame edge carries a wrapped
+// halo — its buffer rows extend past the frame edge and hold the opposite
+// edge's content (on a torus, row r and row r mod h are the same row at
+// every fused level), reads between interim levels index the band buffer
 // directly, and only level-1 reads resolve against the frame. Band buffers
 // therefore stay band-sized at every boundary mode instead of widening to
 // the whole frame at the edges, and auto tiling applies to toroidal runs
 // too.
 //
-// Within a band (or any row sweep) the interior columns can additionally be
-// processed in column panels (Exec_options::panel_cols): each panel runs
-// the whole tape before moving right, so per-operation traffic stays in L1
-// on very wide frames. Panels only split the x loop — each element sees the
-// identical arithmetic — so every panel width is byte-identical. The fixed
-// domain goes one step further and always executes its interior in
-// kTapeLane-wide lane blocks through the shared per-ISA lane kernels
-// (sim/tape_lanes.hpp), the same kernels the format-search batch executor
-// uses.
-//
-// The auto-tiling heuristics (tile depth, band height, panel width) are
-// sized from the probed cache topology (support/cache_info.hpp);
-// Exec_options::budgets pins them for deterministic cross-host behavior.
-// Budgets only steer the schedule, never the values: every budget choice is
-// byte-identical.
+// The auto-tiling heuristics (tile depth, band height) are sized from the
+// probed cache topology (support/cache_info.hpp); Exec_options::budgets
+// pins them for deterministic cross-host behavior. Budgets only steer the
+// schedule, never the values: every budget choice is byte-identical.
 //
 // Work (row blocks untiled, whole bands tiled) is fanned across a
 // support/parallel.hpp Thread_pool; every row is computed identically
 // regardless of the schedule, so results are byte-identical to a serial run
 // at any thread count (the same determinism contract the DSE engine holds).
 //
-// The engine runs in two value domains over the SAME row machinery (one
-// templated implementation, so the paths cannot diverge structurally):
+// The engine runs in the two value domains of the lane block over the SAME
+// row machinery (one templated implementation, so the paths cannot diverge
+// structurally):
 //
 //   - double (run): the tape's IEEE semantics, the classic golden engine;
-//   - fixed point (run_fixed / Exec_options::fixed_format): the program is
-//     lowered once per run into a Fixed_tape (ir/compiled.hpp) and executed
-//     over raw int64 Qm.f row buffers — the initial frames are quantized
-//     once, every iteration reads and writes raw words (no per-level
-//     re-quantization), the interior fast path runs one integer loop per
-//     tape op and the border pass goes through Fixed_tape::eval_point. The
-//     raw words are memcmp-identical to a per-pixel run_fixed_raw sweep for
-//     every kernel, boundary, format, thread count and tile depth.
+//   - fixed point (run_fixed / Exec_options::fixed_format): the lane block's
+//     constants are quantized once per run and the engine carries raw int64
+//     Qm.f words — the initial frames are quantized once and every
+//     iteration reads and writes raw words (no per-level re-quantization).
+//     The raw words are memcmp-identical to a per-pixel run_fixed_raw sweep
+//     for every kernel, boundary, format, thread count and tile depth.
 #pragma once
 
 #include <cstddef>
@@ -81,6 +71,7 @@
 
 #include "grid/frame_set.hpp"
 #include "ir/compiled.hpp"
+#include "sim/tape_lanes.hpp"
 #include "symexec/stencil_step.hpp"
 
 namespace islhls {
@@ -89,15 +80,14 @@ class Thread_pool;
 
 // Cache budgets steering the auto-tiling heuristics. Zero fields resolve
 // from the probed cache topology (support/cache_info.hpp): tile_bytes from
-// the last-level cache, band_bytes from a quarter of it, panel_bytes from
-// half the L1 data cache. When probing fails the fallbacks reproduce the
-// engine's historical fixed budgets (32 MiB / 8 MiB / 16 KiB). Budgets only
-// pick the schedule — results are byte-identical at every setting — so
-// tests pin them to make auto decisions deterministic across hosts.
+// the last-level cache, band_bytes from a quarter of it. When probing fails
+// the fallbacks reproduce the engine's historical fixed budgets (32 MiB /
+// 8 MiB). Budgets only pick the schedule — results are byte-identical at
+// every setting — so tests pin them to make auto decisions deterministic
+// across hosts.
 struct Exec_budgets {
-    std::size_t tile_bytes = 0;   // working set above which auto mode tiles
-    std::size_t band_bytes = 0;   // target working set of one band
-    std::size_t panel_bytes = 0;  // target per-row op working set of a panel
+    std::size_t tile_bytes = 0;  // working set above which auto mode tiles
+    std::size_t band_bytes = 0;  // target working set of one band
 };
 
 // Execution knobs. The defaults reproduce the classic engine behavior
@@ -125,11 +115,6 @@ struct Exec_options {
     // Output rows per band when tiling; 0 = auto (sized so a band's working
     // set stays cache-resident and the halo recompute overhead stays small).
     int band_rows = 0;
-    // Interior column-panel width: 0 = auto (panel banded sweeps whose
-    // per-row op working set spills the panel budget; untiled sweeps stay
-    // unpaneled), n > 0 = force n-column panels everywhere. Every width
-    // produces byte-identical frames.
-    int panel_cols = 0;
     // Cache budgets for the auto heuristics above; zero fields resolve from
     // the probed topology.
     Exec_budgets budgets;
@@ -197,9 +182,9 @@ public:
     }
 
     // Whole-frame fixed-point run: quantizes `initial` once (Raw_quantizer
-    // semantics, like every production caller), lowers the program into a
-    // Fixed_tape for `format`, and carries raw int64 words through all
-    // iterations — byte-identical to a per-pixel run_fixed_raw sweep at any
+    // semantics, like every production caller), pins the tape constants as
+    // `format` words in the lane block, and carries raw int64 words through
+    // all iterations — byte-identical to a per-pixel run_fixed_raw sweep at any
     // thread count and tile depth. With iterations <= 0 the result holds the
     // quantized initial frames. `options.fixed_format` is ignored here (the
     // explicit `format` parameter wins).
@@ -210,10 +195,8 @@ public:
 private:
     const Stencil_step* step_;
     Register_program program_;
-    // Scratch-row index per tape slot (-1 for input slots, which read the
-    // frames directly); operation and constant slots each own one row.
-    std::vector<int> scratch_index_;
-    int scratch_rows_ = 0;
+    // The compiled tape's lane layout, shared by every run and worker.
+    Lane_tape layout_;
     // Interior span margins: columns [left, width - right) read in-range for
     // every input offset.
     int left_margin_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "support/error.hpp"
 
@@ -52,14 +53,14 @@ Lane_dispatch resolve_lane_dispatch() {
 #if defined(ISLHLS_LANE_MULTIARCH)
     if (__builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
         __builtin_cpu_supports("avx512bw")) {
-        return {&lanes_avx512::fixed_op_lanes, &lanes_avx512::double_op_lanes,
+        return {&lanes_avx512::fixed_ops_lanes, &lanes_avx512::double_ops_lanes,
                 "avx512"};
     }
     if (__builtin_cpu_supports("avx2")) {
-        return {&lanes_avx2::fixed_op_lanes, &lanes_avx2::double_op_lanes, "avx2"};
+        return {&lanes_avx2::fixed_ops_lanes, &lanes_avx2::double_ops_lanes, "avx2"};
     }
 #endif
-    return {&lanes_base::fixed_op_lanes, &lanes_base::double_op_lanes, "default"};
+    return {&lanes_base::fixed_ops_lanes, &lanes_base::double_ops_lanes, "default"};
 }
 
 const Lane_dispatch& lane_dispatch() {
@@ -74,6 +75,7 @@ Lane_tape compact_lanes(const Compiled_program& tape) {
     const auto slots = static_cast<std::size_t>(tape.slot_count());
     const std::vector<Tape_op>& ops = tape.ops();
     Lane_tape out;
+    out.tape = &tape;
     out.slot_of.assign(slots, -1);
 
     // Pinned values first, in tape-slot order: they live across the whole
@@ -132,5 +134,55 @@ Lane_tape compact_lanes(const Compiled_program& tape) {
 Fixed_lane_fn fixed_lane_kernel() { return lane_dispatch().fixed; }
 Double_lane_fn double_lane_kernel() { return lane_dispatch().dbl; }
 const char* tape_lane_isa() { return lane_dispatch().isa; }
+
+template <class Value>
+void Lane_block<Value>::pin_constants() {
+    lanes_.resize(static_cast<std::size_t>(layout_->slot_count) * kTapeLane);
+    for (const Tape_constant& c : tape().constants()) {
+        Value* dst = lane(c.slot);
+        std::fill(dst, dst + kTapeLane, domain_.constant(c.value));
+    }
+}
+
+template <class Value>
+void Lane_block<Value>::copy_in(std::int32_t tape_slot, const Value* src, int n) {
+    std::memcpy(lane(tape_slot), src, static_cast<std::size_t>(n) * sizeof(Value));
+}
+
+template <class Value>
+void Lane_block<Value>::copy_out(std::int32_t tape_slot, Value* dst, int n) const {
+    std::memcpy(dst, lane(tape_slot), static_cast<std::size_t>(n) * sizeof(Value));
+}
+
+template <class Value>
+void Lane_block<Value>::run_batch(const Value* inputs, std::size_t samples,
+                                  Value* outputs) {
+    const std::vector<Tape_input>& ins = tape().inputs();
+    const std::vector<std::int32_t>& outs = tape().output_slots();
+    const std::size_t in_count = ins.size();
+    const std::size_t out_count = outs.size();
+    for (std::size_t s0 = 0; s0 < samples; s0 += kTapeLane) {
+        const int n = static_cast<int>(
+            std::min(static_cast<std::size_t>(kTapeLane), samples - s0));
+        for (std::size_t i = 0; i < in_count; ++i) {
+            Value* dst = lane(ins[i].slot);
+            const Value* src = inputs + s0 * in_count + i;
+            for (int l = 0; l < n; ++l) {
+                dst[l] = load(src[static_cast<std::size_t>(l) * in_count]);
+            }
+        }
+        run(n);
+        for (std::size_t o = 0; o < out_count; ++o) {
+            const Value* src = lane(outs[o]);
+            Value* dst = outputs + s0 * out_count + o;
+            for (int l = 0; l < n; ++l) {
+                dst[static_cast<std::size_t>(l) * out_count] = src[l];
+            }
+        }
+    }
+}
+
+template class Lane_block<double>;
+template class Lane_block<std::int64_t>;
 
 }  // namespace islhls

@@ -1,4 +1,4 @@
-// Equivalence suite for the compiled scanline execution engine: the engine
+// Equivalence suite for the lane-blocked frame execution engine: the engine
 // must agree bit for bit with the legacy per-pixel interpreter across every
 // built-in kernel, every Boundary mode, degenerate frame shapes (1xN, Nx1,
 // 1x1) and any thread count.
@@ -13,6 +13,7 @@
 #include "kernels/kernels.hpp"
 #include "sim/exec_engine.hpp"
 #include "sim/golden.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/parallel.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"
@@ -128,9 +129,12 @@ TEST(Exec_engine, run_ir_wrapper_matches_reference_and_supports_threads) {
                       run_step_ir(step, initial, kernel.boundary));
 }
 
-// The compiled tape's scalar path must reproduce the reference interpreter
-// slot for slot (this is what run() and the arch simulator execute).
-TEST(Compiled_program, eval_point_reproduces_interpreter_trace) {
+// The double lane block must reproduce the reference interpreter slot for
+// slot (this is what run(), the arch simulator and the format search
+// execute). Over the SSA layout (one lane slot per tape slot) every slot of
+// every lane is observable; the compact layout the consumers run must then
+// produce exactly the output slots.
+TEST(Lane_block, double_lanes_reproduce_interpreter_trace) {
     const Kernel_def& kernel = kernel_by_name("perona_malik");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{3, 3, 2});
@@ -139,23 +143,42 @@ TEST(Compiled_program, eval_point_reproduces_interpreter_trace) {
     ASSERT_EQ(tape.slot_count(),
               static_cast<int>(program.instructions().size()));
 
+    Lane_tape ssa;
+    ssa.tape = &tape;
+    ssa.ops = tape.ops();
+    ssa.slot_count = tape.slot_count();
+    for (int s = 0; s < tape.slot_count(); ++s) ssa.slot_of.push_back(s);
+    const Lane_tape compact = compact_lanes(tape);
+    Lane_block<double> full(ssa);
+    Lane_block<double> lanes(compact);
+
+    constexpr int kTrials = 20;
     Prng rng(17);
-    std::vector<double> inputs(static_cast<std::size_t>(program.input_count()));
-    std::vector<double> slots(static_cast<std::size_t>(tape.slot_count()));
+    std::vector<std::vector<double>> inputs(
+        kTrials, std::vector<double>(static_cast<std::size_t>(program.input_count())));
+    for (std::vector<double>& set : inputs) {
+        for (double& v : set) v = rng.next_in(-4.0, 260.0);
+    }
+    for (Lane_block<double>* block : {&full, &lanes}) {
+        for (std::size_t i = 0; i < tape.inputs().size(); ++i) {
+            for (int t = 0; t < kTrials; ++t) {
+                block->lane(tape.inputs()[i].slot)[t] = inputs[t][i];
+            }
+        }
+        block->run(kTrials);
+    }
     std::vector<double> regs;
-    for (int trial = 0; trial < 20; ++trial) {
-        for (double& v : inputs) v = rng.next_in(-4.0, 260.0);
-        program.run_trace_into(inputs, regs);
-        tape.eval_point(inputs.data(), slots.data());
-        ASSERT_EQ(regs.size(), slots.size());
-        EXPECT_EQ(0, std::memcmp(regs.data(), slots.data(),
-                                 regs.size() * sizeof(double)))
-            << trial;
-        // run() (the compatibility wrapper) returns exactly the output slots.
-        const std::vector<double> outs = program.run(inputs);
-        ASSERT_EQ(outs.size(), program.outputs().size());
-        for (std::size_t o = 0; o < outs.size(); ++o) {
-            EXPECT_EQ(outs[o],
+    for (int trial = 0; trial < kTrials; ++trial) {
+        program.run_trace_into(inputs[trial], regs);
+        ASSERT_EQ(regs.size(), static_cast<std::size_t>(tape.slot_count()));
+        for (std::size_t s = 0; s < regs.size(); ++s) {
+            const double v = full.lane(static_cast<std::int32_t>(s))[trial];
+            ASSERT_EQ(0, std::memcmp(&regs[s], &v, sizeof(double)))
+                << trial << " slot " << s;
+        }
+        // The compact layout returns exactly the output slots.
+        for (std::size_t o = 0; o < program.outputs().size(); ++o) {
+            EXPECT_EQ(lanes.lane(tape.output_slots()[o])[trial],
                       regs[static_cast<std::size_t>(program.outputs()[o])]);
         }
     }

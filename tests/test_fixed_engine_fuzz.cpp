@@ -4,7 +4,8 @@
 // must evaluate identically through three independent routes:
 //
 //   1. the whole-frame integer row engine (Exec_engine::run_fixed),
-//   2. the scalar integer tape (Fixed_tape::eval_point) applied per pixel,
+//   2. the fixed lane block (Lane_block over compact_lanes) applied per
+//      pixel, one live lane per pass,
 //   3. the reference interpreter (run_fixed_raw) applied per pixel.
 //
 // Every trial derives from a printed seed, so a failure is reproducible by
@@ -127,25 +128,20 @@ TEST(Fixed_engine_fuzz, random_programs_agree_across_all_three_paths) {
         options.threads = rng.next_int(0, 1) ? 2 : 1;
         options.tile_iterations = rng.next_int(0, 1) ? 2 : 1;
         options.band_rows = rng.next_int(1, 3);
-        // Column panels and pinned budgets only reshape the schedule; the
-        // raw words must not notice. Panel widths cover degenerate (1),
-        // misaligned (3), lane-sized (kTapeLane > w, so the whole span) and
-        // auto (0).
-        const int panels[] = {0, 1, 3, kTapeLane};
-        options.panel_cols = panels[rng.next_int(0, 3)];
+        // Pinned budgets only reshape the schedule; the raw words must not
+        // notice.
         if (rng.next_int(0, 1)) {
             options.budgets.tile_bytes = 1;
             options.budgets.band_bytes = 1u << 10;
-            options.budgets.panel_bytes = 1;
         }
         const Fixed_frame_result engine_out =
             engine.run_fixed(initial, iterations, b, fmt, options);
 
         // Per-pixel references: quantize once, then iterate pixel by pixel
-        // through (a) run_fixed_raw and (b) Fixed_tape::eval_point.
+        // through (a) run_fixed_raw and (b) the lane block, one lane a pass.
         const Raw_quantizer quantize(fmt);
-        const Fixed_tape tape(cp, fmt);
-        std::vector<std::int64_t> slots(static_cast<std::size_t>(cp.slot_count()));
+        const Lane_tape layout = compact_lanes(cp);
+        Lane_block<std::int64_t> tape(layout, fmt);
         const auto& ports = program.input_ports();
         std::vector<std::int64_t> inputs(ports.size());
 
@@ -196,11 +192,14 @@ TEST(Fixed_engine_fuzz, random_programs_agree_across_all_three_paths) {
                     }
                     const std::vector<std::int64_t> out =
                         run_fixed_raw(program, inputs, fmt);
-                    tape.eval_point(inputs.data(), slots.data());
+                    for (std::size_t i = 0; i < ports.size(); ++i) {
+                        tape.lane(cp.inputs()[i].slot)[0] = tape.load(inputs[i]);
+                    }
+                    tape.run(1);
                     for (std::size_t s = 0; s < states; ++s) {
                         next[s][static_cast<std::size_t>(y) * w + x] = out[s];
                         next_tape[s][static_cast<std::size_t>(y) * w + x] =
-                            slots[static_cast<std::size_t>(cp.output_slots()[s])];
+                            tape.lane(cp.output_slots()[s])[0];
                     }
                 }
             }
@@ -213,15 +212,14 @@ TEST(Fixed_engine_fuzz, random_programs_agree_across_all_three_paths) {
         for (std::size_t i = 0; i < engine_out.names.size(); ++i) {
             ASSERT_EQ(0, std::memcmp(raw[i].data(), raw_tape[i].data(),
                                      raw[i].size() * sizeof(std::int64_t)))
-                << "interpreter vs tape diverged: seed=" << seed << " field "
+                << "interpreter vs lane block diverged: seed=" << seed << " field "
                 << engine_out.names[i];
             ASSERT_EQ(0, std::memcmp(raw[i].data(), engine_out.raw[i].data(),
                                      raw[i].size() * sizeof(std::int64_t)))
                 << "row engine vs interpreter diverged: seed=" << seed << " field "
                 << engine_out.names[i] << " (" << w << "x" << h << " "
                 << to_string(fmt) << " " << to_string(b) << " threads "
-                << options.threads << " depth " << options.tile_iterations
-                << " panel " << options.panel_cols << ")";
+                << options.threads << " depth " << options.tile_iterations << ")";
         }
     }
 }

@@ -1,9 +1,10 @@
-// Fixed-point tape engine equivalence: the integer-lowered tape (Fixed_tape
-// scalar path and Fixed_exec batched path) must be byte-identical to the
+// Fixed-point lane executor equivalence: the fixed-domain Lane_block, over
+// the SSA layout (every tape slot its own lane slot) and over the
+// liveness-compacted layout its consumers run, must be byte-identical to the
 // run_fixed_raw reference interpreter for every kernel and format — the
 // same memcmp contract the double engine holds against run_ir_reference.
-// The liveness-compacted lane layout those batched paths run on is checked
-// here too: slot safety, and bit identity against the SSA tape.
+// The compact layout itself is checked here too: slot safety, and bit
+// identity against the SSA tape.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -70,8 +71,18 @@ std::vector<std::vector<std::int64_t>> gather_raw_inputs(
     return sets;
 }
 
-// Checks both compiled paths against the interpreter on the given samples:
-// the Fixed_tape scalar path slot for slot, and the Fixed_exec batch in one
+// The SSA layout of a tape: one lane slot per tape slot, ops unchanged.
+Lane_tape ssa_layout(const Compiled_program& cp) {
+    Lane_tape layout;
+    layout.tape = &cp;
+    layout.ops = cp.ops();
+    layout.slot_count = cp.slot_count();
+    for (int s = 0; s < cp.slot_count(); ++s) layout.slot_of.push_back(s);
+    return layout;
+}
+
+// Checks the lane block against the interpreter on the given samples: over
+// the SSA layout output for output, and over the compact layout in one
 // memcmp over the whole output array.
 void expect_tape_matches_interpreter(
     const Register_program& program, const Fixed_format& fmt,
@@ -88,38 +99,36 @@ void expect_tape_matches_interpreter(
         expected.insert(expected.end(), out.begin(), out.end());
     }
 
-    // Scalar tape path.
-    const Fixed_tape tape(program.compiled(), fmt);
-    std::vector<std::int64_t> slots(
-        static_cast<std::size_t>(program.compiled().slot_count()));
-    for (std::size_t s = 0; s < samples; ++s) {
-        tape.eval_point(input_sets[s].data(), slots.data());
-        for (std::size_t o = 0; o < out_count; ++o) {
-            ASSERT_EQ(slots[static_cast<std::size_t>(
-                          program.compiled().output_slots()[o])],
-                      expected[s * out_count + o])
-                << to_string(fmt) << " sample " << s << " output " << o;
-        }
-    }
-
-    // Batched path, whole batch in one pass.
     std::vector<std::int64_t> flat(samples * in_count);
     for (std::size_t s = 0; s < samples; ++s) {
         std::copy(input_sets[s].begin(), input_sets[s].end(),
                   flat.begin() + s * in_count);
     }
+
+    // SSA layout, sample by sample.
+    const Lane_tape ssa = ssa_layout(program.compiled());
+    Lane_block<std::int64_t> full(ssa, fmt);
+    std::vector<std::int64_t> unpacked(samples * out_count, -1);
+    full.run_batch(flat.data(), samples, unpacked.data());
+    for (std::size_t s = 0; s < samples; ++s) {
+        for (std::size_t o = 0; o < out_count; ++o) {
+            ASSERT_EQ(unpacked[s * out_count + o], expected[s * out_count + o])
+                << to_string(fmt) << " sample " << s << " output " << o;
+        }
+    }
+
+    // Compact layout, whole batch in one pass.
     const Lane_tape layout = compact_lanes(program.compiled());
-    const Fixed_exec exec(program, layout, fmt);
-    Fixed_exec::Scratch scratch;
+    Lane_block<std::int64_t> block(layout, fmt);
     std::vector<std::int64_t> batched(samples * out_count, -1);
-    exec.run_raw_batch(flat.data(), samples, batched.data(), scratch);
+    block.run_batch(flat.data(), samples, batched.data());
     EXPECT_EQ(std::memcmp(batched.data(), expected.data(),
                           expected.size() * sizeof(std::int64_t)),
               0)
         << to_string(fmt);
 }
 
-TEST(Fixed_tape, matches_interpreter_on_all_kernels_and_formats) {
+TEST(Fixed_lane_block, matches_interpreter_on_all_kernels_and_formats) {
     for (const std::string& name : kernel_names()) {
         SCOPED_TRACE(name);
         const Kernel_def& kernel = kernel_by_name(name);
@@ -136,7 +145,7 @@ TEST(Fixed_tape, matches_interpreter_on_all_kernels_and_formats) {
     }
 }
 
-TEST(Fixed_tape, matches_interpreter_on_deep_cones) {
+TEST(Fixed_lane_block, matches_interpreter_on_deep_cones) {
     // Deeper cones (chambolle exercises sqrt and the truncating divide, igf
     // the multiply shift) over a larger program.
     for (const std::string& name : {std::string("igf"), std::string("chambolle")}) {
@@ -155,7 +164,7 @@ TEST(Fixed_tape, matches_interpreter_on_deep_cones) {
     }
 }
 
-TEST(Fixed_tape, negative_divide_sqrt_and_wrap_edge_cases) {
+TEST(Fixed_lane_block, negative_divide_sqrt_and_wrap_edge_cases) {
     // A kernel built to hit the nasty operator corners: differences go
     // negative (truncating divide toward zero, abs, neg), the guarded
     // divide's denominator crosses zero, sqrt sees negative arguments, and
@@ -185,8 +194,8 @@ void edges_step(float u_out[H][W], const float u[H][W]) {
     }
 }
 
-TEST(Fixed_tape, out_of_range_raw_inputs_wrap_like_the_interpreter) {
-    // Both paths must wrap-resize raw input words on load (VHDL resize of a
+TEST(Fixed_lane_block, out_of_range_raw_inputs_wrap_like_the_interpreter) {
+    // Both layouts must wrap-resize raw input words on load (VHDL resize of a
     // wider bus), not just quantized in-range values.
     const Kernel_def& kernel = kernel_by_name("jacobi");
     Stencil_step step = extract_stencil(kernel.c_source);
@@ -206,16 +215,15 @@ TEST(Fixed_tape, out_of_range_raw_inputs_wrap_like_the_interpreter) {
     expect_tape_matches_interpreter(cone.program(), fmt, sets);
 }
 
-TEST(Fixed_exec, partial_and_multi_block_batches) {
-    // Batch sizes around the lane width: 1, kLane - 1, kLane, kLane + 1 and
-    // several full blocks plus a remainder.
+TEST(Fixed_lane_block, partial_and_multi_block_batches) {
+    // Batch sizes around the lane width: 1, kTapeLane - 1, kTapeLane,
+    // kTapeLane + 1 and several full blocks plus a remainder.
     const Kernel_def& kernel = kernel_by_name("heat");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{2, 2, 1});
     const Frame_set content = kernel.make_initial(make_synthetic_scene(23, 17, 4));
     const Fixed_format fmt{10, 6};
-    for (int samples : {1, Fixed_exec::kLane - 1, Fixed_exec::kLane,
-                        Fixed_exec::kLane + 1, 3 * Fixed_exec::kLane + 7}) {
+    for (int samples : {1, kTapeLane - 1, kTapeLane, kTapeLane + 1, 3 * kTapeLane + 7}) {
         SCOPED_TRACE(samples);
         const auto inputs = gather_raw_inputs(cone.program(), step, content,
                                               kernel.boundary, fmt, samples, 31);
@@ -223,17 +231,18 @@ TEST(Fixed_exec, partial_and_multi_block_batches) {
     }
 }
 
-TEST(Fixed_exec, scratch_is_reusable_across_formats_and_programs) {
-    // One Scratch object serving programs of different slot counts and
-    // formats of different widths must not leak state between runs.
+TEST(Fixed_lane_block, lanes_are_reusable_across_formats_and_programs) {
+    // One block per program layout, rebound to formats of different widths
+    // (the format search keeps its per-job lanes this way), and programs of
+    // different slot counts in turn, must not leak state between runs.
     const Kernel_def& igf = kernel_by_name("igf");
     Stencil_step igf_step = extract_stencil(igf.c_source);
     const Cone big(igf_step, Cone_spec{3, 3, 2});
     const Cone small(igf_step, Cone_spec{1, 1, 1});
     const Frame_set content = igf.make_initial(make_synthetic_scene(19, 15, 6));
-    Fixed_exec::Scratch scratch;
     for (const Cone* cone : {&big, &small, &big}) {
         const Lane_tape layout = compact_lanes(cone->program().compiled());
+        Lane_block<std::int64_t> block(layout, test_formats().back());
         for (const Fixed_format& fmt : test_formats()) {
             const auto inputs = gather_raw_inputs(cone->program(), igf_step, content,
                                                   igf.boundary, fmt, 33, 13);
@@ -244,9 +253,9 @@ TEST(Fixed_exec, scratch_is_reusable_across_formats_and_programs) {
                 std::copy(inputs[s].begin(), inputs[s].end(),
                           flat.begin() + s * in_count);
             }
-            const Fixed_exec exec(cone->program(), layout, fmt);
+            block.set_format(fmt);
             std::vector<std::int64_t> batched(inputs.size() * out_count);
-            exec.run_raw_batch(flat.data(), inputs.size(), batched.data(), scratch);
+            block.run_batch(flat.data(), inputs.size(), batched.data());
             for (std::size_t s = 0; s < inputs.size(); ++s) {
                 const std::vector<std::int64_t> expected =
                     run_fixed_raw(cone->program(), inputs[s], fmt);
@@ -363,9 +372,13 @@ TEST(Lane_tape, compact_layout_is_live_safe_and_bit_identical) {
             identity[s] = static_cast<std::int32_t>(s);
         }
         const Frame_set content = kernel.make_initial(make_synthetic_scene(29, 23, 13));
-        const Fixed_tape fixed(cp, fmt);
+        const Fixed_lane_domain fixed(fmt);
         std::vector<double> dconst;
-        for (const Tape_constant& c : cp.constants()) dconst.push_back(c.value);
+        std::vector<std::int64_t> rconst;
+        for (const Tape_constant& c : cp.constants()) {
+            dconst.push_back(c.value);
+            rconst.push_back(fixed.constant(c.value));
+        }
         for (int n : {1, kTapeLane - 1, kTapeLane}) {
             SCOPED_TRACE(n);
             std::vector<double> dinputs;
@@ -379,7 +392,7 @@ TEST(Lane_tape, compact_layout_is_live_safe_and_bit_identical) {
                 }
             }
             const Double_lane_fn dk = double_lane_kernel();
-            const auto dbl = [&](const Tape_op& op, double* lanes) { dk(op, lanes, n); };
+            const auto dbl = [&](const Tape_op& op, double* lanes) { dk(&op, 1, lanes, n); };
             const std::vector<double> d_ssa = run_block(
                 cp, cp.ops(), identity, cp.slot_count(), dconst, dinputs, n, dbl);
             const std::vector<double> d_compact =
@@ -392,32 +405,38 @@ TEST(Lane_tape, compact_layout_is_live_safe_and_bit_identical) {
 
             const Fixed_lane_fn fk = fixed_lane_kernel();
             const auto fix = [&](const Tape_op& op, std::int64_t* lanes) {
-                fk(op, lanes, n, fixed.wrap(), fixed.frac_bits(), fixed.fixed_one());
+                fk(&op, 1, lanes, n, fixed.wrap, fmt.frac_bits, fixed.one);
             };
             const std::vector<std::int64_t> f_ssa =
-                run_block(cp, cp.ops(), identity, cp.slot_count(), fixed.constant_raw(),
-                          rinputs, n, fix);
+                run_block(cp, cp.ops(), identity, cp.slot_count(), rconst, rinputs, n, fix);
             const std::vector<std::int64_t> f_compact =
-                run_block(cp, layout.ops, layout.slot_of, layout.slot_count,
-                          fixed.constant_raw(), rinputs, n, fix);
+                run_block(cp, layout.ops, layout.slot_of, layout.slot_count, rconst,
+                          rinputs, n, fix);
             EXPECT_EQ(f_ssa, f_compact);
         }
     }
 }
 
-TEST(Fixed_tape, constants_are_prequantized) {
+TEST(Fixed_lane_block, constants_are_prequantized) {
     const Kernel_def& kernel = kernel_by_name("heat");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{1, 1, 1});
-    const Fixed_format fmt{8, 4};
-    const Fixed_tape tape(cone.program().compiled(), fmt);
+    const Lane_tape layout = compact_lanes(cone.program().compiled());
     const auto& constants = cone.program().compiled().constants();
-    ASSERT_EQ(tape.constant_raw().size(), constants.size());
-    for (std::size_t i = 0; i < constants.size(); ++i) {
-        EXPECT_EQ(tape.constant_raw()[i], to_raw(constants[i].value, fmt));
+    ASSERT_FALSE(constants.empty());
+    Lane_block<std::int64_t> block(layout, Fixed_format{16, 12});
+    for (const Fixed_format& fmt : {Fixed_format{8, 4}, Fixed_format{12, 2}}) {
+        SCOPED_TRACE(to_string(fmt));
+        block.set_format(fmt);
+        for (const Tape_constant& c : constants) {
+            for (int l = 0; l < kTapeLane; ++l) {
+                ASSERT_EQ(block.lane(c.slot)[l], to_raw(c.value, fmt));
+            }
+        }
+        const Fixed_lane_domain domain(fmt);
+        EXPECT_EQ(domain.one, to_raw(1.0, fmt));
+        EXPECT_EQ(domain.wrap.bits(), fmt.total_bits());
     }
-    EXPECT_EQ(tape.fixed_one(), to_raw(1.0, fmt));
-    EXPECT_EQ(tape.wrap().bits(), fmt.total_bits());
 }
 
 }  // namespace

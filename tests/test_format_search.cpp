@@ -7,6 +7,7 @@
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/fixed_exec.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"
 
@@ -66,7 +67,7 @@ Format_search_result search_fixed_format_reference(
         // smaller than one lane block (a function of the sample count
         // alone), combined in range order.
         const std::size_t samples = input_sets.size();
-        const std::size_t lane = static_cast<std::size_t>(Fixed_exec::kLane);
+        const std::size_t lane = static_cast<std::size_t>(kTapeLane);
         const std::size_t jobs = std::max<std::size_t>(
             1, std::min<std::size_t>(16, (samples + lane - 1) / lane));
         double se = 0.0;
@@ -96,9 +97,9 @@ Format_search_result search_fixed_format_reference(
         return acc.exact || acc.psnr_db >= options.target_psnr_db;
     };
     // The reference shrink walks the per-sample raw interpreter (the batched
-    // search compares its own batch buffers — byte-identical by the Fixed_exec
-    // contract), accepting while every output word matches the accepted
-    // format's.
+    // search compares its own batch buffers — byte-identical by the lane
+    // block's contract), accepting while every output word matches the
+    // accepted format's.
     auto raw_outputs_of = [&](const Fixed_format& fmt) {
         const Raw_quantizer quantize(fmt);
         std::vector<std::int64_t> flat;

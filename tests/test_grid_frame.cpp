@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "grid/frame.hpp"
 #include "support/error.hpp"
 
@@ -17,6 +19,23 @@ TEST(Frame, construction_and_access) {
     EXPECT_THROW(f.at(4, 0), Internal_error);
     EXPECT_THROW(f.at(0, 3), Internal_error);
     EXPECT_THROW(f.at(-1, 0), Internal_error);
+    // The message names the coordinates and the frame size, from both
+    // overloads.
+    const Frame& cf = f;
+    for (const bool constant : {false, true}) {
+        try {
+            if (constant) {
+                (void)cf.at(5, -2);
+            } else {
+                f.at(5, -2) = 0.0;
+            }
+            ADD_FAILURE() << "no throw";
+        } catch (const Internal_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("(5,-2)"), std::string::npos) << what;
+            EXPECT_NE(what.find("4x3"), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(Frame, equality_is_elementwise) {

@@ -57,9 +57,9 @@ TEST(Golden, ghost_native_matches_ghost_ir) {
     }
 }
 
-// --- fixed-point executor ----------------------------------------------------------
+// --- fixed-point interpreter ----------------------------------------------------------
 
-TEST(Fixed_exec, wrap_matches_vhdl_resize) {
+TEST(Run_fixed, wrap_matches_vhdl_resize) {
     EXPECT_EQ(wrap_to_bits(5, 8), 5);
     EXPECT_EQ(wrap_to_bits(127, 8), 127);
     EXPECT_EQ(wrap_to_bits(128, 8), -128);  // overflow wraps
@@ -68,7 +68,7 @@ TEST(Fixed_exec, wrap_matches_vhdl_resize) {
     EXPECT_EQ(wrap_to_bits(-1, 8), -1);
 }
 
-TEST(Fixed_exec, isqrt_floor_values) {
+TEST(Run_fixed, isqrt_floor_values) {
     EXPECT_EQ(isqrt_floor(0), 0);
     EXPECT_EQ(isqrt_floor(1), 1);
     EXPECT_EQ(isqrt_floor(3), 1);
@@ -94,7 +94,7 @@ TEST_P(Isqrt_property, floor_property_holds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Isqrt_property, ::testing::Range(1, 5));
 
-TEST(Fixed_exec, tracks_double_execution_within_tolerance) {
+TEST(Run_fixed, tracks_double_execution_within_tolerance) {
     const Kernel_def& kernel = kernel_by_name("igf");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{2, 2, 2});
@@ -107,17 +107,19 @@ TEST(Fixed_exec, tracks_double_execution_within_tolerance) {
         for (int i = 0; i < prog.input_count(); ++i) {
             inputs.push_back(quantize(rng.next_in(0.0, 255.0), fmt));
         }
-        const auto exact = prog.run(inputs);
+        const std::vector<double> trace = prog.run_trace(inputs);
         const auto fixed = run_fixed(prog, inputs, fmt);
-        for (std::size_t o = 0; o < exact.size(); ++o) {
+        for (std::size_t o = 0; o < prog.outputs().size(); ++o) {
             // Binomial filter of depth 2: error accumulates over ~2 levels of
             // truncating multiplies; stay within a generous bound.
-            EXPECT_NEAR(fixed[o], exact[o], 0.25) << trial;
+            EXPECT_NEAR(fixed[o], trace[static_cast<std::size_t>(prog.outputs()[o])],
+                        0.25)
+                << trial;
         }
     }
 }
 
-TEST(Fixed_exec, division_by_zero_yields_zero_like_the_hardware) {
+TEST(Run_fixed, division_by_zero_yields_zero_like_the_hardware) {
     Expr_pool pool;
     const int u = pool.intern_field("u");
     const Expr_id q = pool.div(pool.input(u, 0, 0), pool.input(u, 1, 0));
